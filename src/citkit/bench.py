@@ -65,7 +65,7 @@ class ExperimentConfig:
     out: str | None = None
     alphas: tuple = ()
     nks: tuple = ()
-    max_cond: int = 3
+    max_cond: int | None = None  # None: min(3, d-2), see pc_skeleton
     threads: int = 1
 
     def __post_init__(self):

@@ -23,10 +23,9 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats as _stats
 from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import pdist, squareform
-from scipy.special import ndtr
+from scipy.special import gammaincc, ndtr
 
 from .errors import ConfigError, DataError
 from .permnull import dense_invariants, feature_invariants, permutation_cumulants, trace_null_sf
@@ -189,7 +188,9 @@ def _gamma_upper_p(stat, mean, var):
         raise DataError("degenerate null moments; cannot calibrate the gamma approximation")
     shape = mean * mean / var
     scale = var / mean
-    return float(_stats.gamma.sf(stat, a=shape, scale=scale))
+    if stat <= 0:
+        return 1.0
+    return float(gammaincc(shape, stat / scale))
 
 
 def fisher_z(data):

@@ -208,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--data", required=True, help="CSV file with a header row")
     pr.add_argument("--method", default="kcit", choices=("fisherz", "kcit", "rcit"))
     pr.add_argument("--level", type=float, default=0.05)
-    pr.add_argument("--max-cond", type=int, default=3)
+    pr.add_argument("--max-cond", type=int, default=None,
+                    help="largest conditioning-set size (default: min(3, d-2))")
     pr.add_argument("--nk", type=int, default=None,
                     help="run each query as an ensemble with this subset size")
     pr.add_argument("--stable-alpha", type=float, default=1.75)

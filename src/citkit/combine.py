@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
-from scipy import stats as _stats
-from scipy.special import ndtr, ndtri
+from scipy.special import chdtr, chdtrc, ndtr, ndtri, stdtr
 
 from .errors import ConfigError, DataError
 from .stable import StableParams, aggregate_params, stable_cdf, stable_quantile
@@ -183,16 +182,16 @@ def combine_classical(method, pvals, normal_approx=False):
             p_comb = _irwin_hall_cdf(statistic, k)
     elif name == "fisher":
         statistic = float(-2.0 * np.sum(np.log(p)))
-        p_comb = float(_stats.chi2.sf(statistic, df=2 * k))
+        p_comb = float(chdtrc(2 * k, statistic))
     elif name == "pearson":
         # small p_i keep -2*sum(log(1-p_i)) near zero, hence the lower tail
         statistic = float(-2.0 * np.sum(np.log1p(-p)))
-        p_comb = float(_stats.chi2.cdf(statistic, df=2 * k))
+        p_comb = float(chdtr(2 * k, statistic))
     elif name == "mudholkar":
         statistic = float(np.sum(np.log(p) - np.log1p(-p)))
         df = 5 * k + 4
         scale = np.sqrt(3.0 * df / (k * np.pi ** 2 * (5 * k + 2)))
-        p_comb = float(_stats.t.cdf(scale * statistic, df=df))
+        p_comb = float(stdtr(df, scale * statistic))
     elif name == "stouffer":
         statistic = float(np.sum(ndtri(p)))
         p_comb = float(ndtr(statistic / np.sqrt(k)))

@@ -56,13 +56,14 @@ class SkeletonGraph:
                 if self.adjacency[i, j]]
 
 
-def pc_skeleton(data, test, level: float = 0.05, max_cond: int = 3,
+def pc_skeleton(data, test, level: float = 0.05, max_cond: int | None = None,
                 d: int | None = None, on_query=None) -> SkeletonGraph:
     """Classic PC skeleton phase driven by an index-based CI tester.
 
     ``data`` is an n x d matrix (may be None for pure-oracle testers if ``d``
     is given).  Starting from the complete graph, for conditioning-set size
-    l = 0..max_cond each still-adjacent pair is tested against every size-l
+    l = 0..max_cond (default min(3, d-2); an explicit value above d-2 is an
+    error) each still-adjacent pair is tested against every size-l
     subset of either endpoint's neighbours (adjacency as of the round start);
     the edge is removed and its separating set recorded on the first
     acceptance p > level.  ``on_query`` receives (i, j, S, p) for each test.
@@ -74,6 +75,8 @@ def pc_skeleton(data, test, level: float = 0.05, max_cond: int = 3,
         raise ConfigError("pc_skeleton needs data or an explicit column count d")
     if not (0.0 < level < 1.0):
         raise ConfigError(f"level must lie in (0,1), got {level}")
+    if max_cond is None:
+        max_cond = min(3, d - 2)
     if max_cond > d - 2:
         raise ConfigError(f"max_cond={max_cond} exceeds d-2={d - 2}")
 

@@ -13,6 +13,7 @@ from scipy import stats
 
 from citkit.cit import (
     CITestSpec,
+    _gamma_upper_p,
     DataTriple,
     fisher_z,
     kcit,
@@ -124,6 +125,14 @@ class TestMedianHeuristic:
         rng = np.random.default_rng(3)
         pts = rng.standard_normal((5000, 2))
         assert median_heuristic(pts) == median_heuristic(pts)
+
+
+class TestGammaUpperP:
+    def test_equals_scipy_stats_gamma_sf_bit_for_bit(self):
+        for stat in (-5.0, -1e-12, 0.0, 1e-300, 1e-8, 0.3, 1.0, 2.5, 10.0, 50.0, 1e3):
+            for mean, var in ((1.0, 1.0), (0.5, 2.0), (3.0, 0.2), (1e-3, 1e-7), (40.0, 5.0)):
+                ref = stats.gamma.sf(stat, a=mean * mean / var, scale=var / mean)
+                assert _gamma_upper_p(stat, mean, var) == float(ref)
 
 
 class TestFisherZ:

@@ -1,0 +1,73 @@
+"""Tests for the command-line front-end and the package's import footprint."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import citkit
+from citkit.cli import main
+
+SRC = str(Path(citkit.__file__).resolve().parent.parent)
+
+
+def _python(*args):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=300)
+
+
+def test_import_leaves_out_scipy_stats():
+    out = _python("-c", "import sys, citkit; print('scipy.stats' in sys.modules)")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def test_python_m_citkit_runs_the_cli():
+    out = _python("-m", "citkit", "combine", "--method", "fisher", "--format", "json",
+                  "0.05", "0.05")
+    assert out.returncode == 0, out.stderr
+    payload = json.loads(out.stdout)
+    assert payload["method"] == "fisher" and payload["K"] == 2
+    assert payload["p_combined"] == pytest.approx(0.017478661367769955, abs=1e-12)
+
+
+@pytest.fixture
+def chain_csv(tmp_path):
+    """a -> b -> c plus an independent d: four columns, so d - 2 = 2."""
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal(400)
+    b = a + 0.5 * rng.standard_normal(400)
+    c = b + 0.5 * rng.standard_normal(400)
+    d = rng.standard_normal(400)
+    path = tmp_path / "chain.csv"
+    np.savetxt(path, np.column_stack([a, b, c, d]), delimiter=",", header="a,b,c,d",
+               comments="")
+    return path
+
+
+def test_pc_run_caps_default_max_cond_at_d_minus_2(chain_csv, tmp_path):
+    out = tmp_path / "graph.json"
+    rc = main(["pc", "run", "--data", str(chain_csv), "--method", "fisherz",
+               "--format", "json", "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["edges"] == [["a", "b"], ["b", "c"]]
+
+
+def test_pc_run_explicit_max_cond_above_d_minus_2_exits_2(chain_csv, capsys):
+    rc = main(["pc", "run", "--data", str(chain_csv), "--method", "fisherz", "--max-cond", "3"])
+    assert rc == 2
+    assert "max_cond=3 exceeds d-2=2" in capsys.readouterr().err
+
+
+def test_bench_pc_on_four_variables(tmp_path):
+    out = tmp_path / "report.json"
+    rc = main(["bench", "pc", "--set", "gen.d=4", "--set", "gen.n=300", "--set", "reps=1",
+               "--set", "test.fz.method=fisherz", "--format", "json", "--out", str(out)])
+    assert rc == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert {r["metric"] for r in rows} == {"f1", "shd"}

@@ -272,6 +272,20 @@ class TestCombineClassical:
         b = combine_classical(method, [0.03, 0.2, 0.55, 0.81, 0.44])
         assert a.p_combined == b.p_combined
 
+    @pytest.mark.parametrize("method,null", [
+        ("fisher", lambda stat, k: st.chi2.sf(stat, df=2 * k)),
+        ("pearson", lambda stat, k: st.chi2.cdf(stat, df=2 * k)),
+        ("mudholkar", lambda stat, k: st.t.cdf(
+            np.sqrt(3.0 * (5 * k + 4) / (k * np.pi ** 2 * (5 * k + 2))) * stat, df=5 * k + 4)),
+    ])
+    def test_null_equals_scipy_stats_bit_for_bit(self, method, null):
+        grid = np.concatenate([np.geomspace(1e-12, 0.5, 12), 1.0 - np.geomspace(1e-12, 0.5, 12)])
+        rng = np.random.default_rng(8)
+        for k in (1, 2, 3, 7, 20, 100):
+            for _ in range(10):
+                out = combine_classical(method, rng.choice(grid, size=k))
+                assert out.p_combined == min(max(float(null(out.statistic, k)), 0.0), 1.0)
+
     def test_k1_each_method_near_identity(self):
         # at K=1 every combiner's null is the p-value itself, except the
         # Mudholkar-George t-approximation, which is only close

@@ -11,6 +11,7 @@ import scipy.stats as st
 from hypothesis import given, settings, strategies as hst
 from numpy.testing import assert_allclose
 
+from citkit import stable
 from citkit import (
     ConfigError,
     NumericalError,
@@ -326,6 +327,46 @@ class TestQuantile:
         vec = stable_quantile(probs, p)
         for pr, qv in zip(probs, vec):
             assert qv == pytest.approx(stable_quantile(float(pr), p), abs=1e-10)
+
+    @pytest.mark.parametrize("alpha", [1.5, 1.75, 1.95])
+    def test_far_tail_relative_accuracy(self, alpha):
+        # ecit clamps saturated subtests to 1e-12, so the deep tail is common
+        params = std(alpha)
+        for p in (1e-12, 1e-11, 1e-10, 1e-6):
+            for prob in (p, 1.0 - p):
+                tail = min(prob, 1.0 - prob)  # exact: the mass 1 - prob carries in float64
+                q = stable_quantile(prob, params)
+                assert np.sign(q) == np.sign(prob - 0.5)
+                assert stable_cdf(-abs(q), params) / tail == pytest.approx(1.0, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the symmetric fast path's Chebyshev table
+
+
+class TestSymmetricTable:
+    @pytest.mark.parametrize("alpha", [1.05, 1.5, 1.75, 1.95, 1.98, 1.995])
+    def test_vectorized_nodes_match_adaptive_quadrature(self, alpha, monkeypatch):
+        n = 130
+        tlo, thi = stable._symmetric_machine(alpha)._cheb_scale
+        nodes = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+        xs = np.exp(0.5 * (tlo + thi) + 0.5 * (thi - tlo) * nodes)
+        adaptive = np.array([stable._cdf_quad_std(x, alpha, 0.0) for x in xs])
+
+        fallbacks = []
+        quad_std = stable._cdf_quad_std
+
+        def counted(z, a, b):
+            fallbacks.append(z)
+            return quad_std(z, a, b)
+
+        monkeypatch.setattr(stable, "_cdf_quad_std", counted)
+        fixed = stable._cdf_fixed_quad_symmetric(xs, alpha)
+        assert_allclose(fixed, adaptive, rtol=0, atol=1e-13)
+        if alpha <= 1.75:
+            assert not fallbacks  # the whole table from the two fixed rules
+        if alpha >= 1.98:
+            assert len(fallbacks) > n // 2  # the two orders disagree near alpha = 2
 
 
 # ---------------------------------------------------------------------------
