@@ -293,6 +293,11 @@ def rcit(data, spec=None):
 
     Deterministic given spec.seed (feature frequencies and phases are the only
     randomness).
+
+    Known miscalibration: on PNL H0 samples (seeds 5000-5099, feature seed =
+    sample seed) the test rejects at 0.05 on 13 of 100 at n = 2000 with
+    d_z = 2, against 3 of 100 at n = 2000 with d_z = 1 and 5 of 100 at n = 400
+    with d_z = 2.  Ensembles over such subsets carry the excess up.
     """
     t0 = time.perf_counter()
     spec = spec or CITestSpec(method="rcit")

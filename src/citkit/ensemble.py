@@ -107,6 +107,11 @@ def ecit(data: DataTriple, base: CITestSpec, config: EnsembleConfig) -> TestOutc
     The returned outcome's ``subtest_ps`` holds the raw per-subset p-values
     (clamping is internal to the combination step), and ``p`` is independent
     of the parallelism hint.
+
+    A subtest that fails fails the whole run: the error is re-raised with
+    ``subtest k of K:`` in front of its message, for example when one subset
+    has a constant column.  Dropping that subset instead would silently
+    combine fewer p-values than the K the caller asked for.
     """
     t0 = time.perf_counter()
     subsets = partition(data, config)
