@@ -13,7 +13,6 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import product
 
@@ -25,7 +24,7 @@ from .combine import CLASSICAL_METHODS, clamp_pvalues, combine_classical, combin
 from .datagen import PnlConfig, gen_pnl, gen_random_dag, simulate_scm
 from .discovery import (make_cit_tester, make_dsep_oracle, make_ensemble_tester,
                         pc_skeleton, skeleton_metrics, skeleton_of_graph)
-from .ensemble import EnsembleConfig, _subset_seed, ecit, partition, runtime_profile
+from .ensemble import EnsembleConfig, ecit, runtime_profile
 from .errors import CitkitError, ConfigError, DataError
 from .stable import StableParams
 
@@ -66,15 +65,12 @@ class ExperimentConfig:
     alphas: tuple = ()
     nks: tuple = ()
     max_cond: int | None = None  # None: min(3, d-2), see pc_skeleton
-    threads: int = 1
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; choose from {KINDS}")
         if self.reps < 1:
             raise ConfigError(f"replicate count must be >= 1, got {self.reps}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if not (0.0 < self.level < 1.0):
             raise ConfigError(f"level must lie in (0,1), got {self.level}")
         for key in self.grid:
@@ -135,17 +131,13 @@ def _binomial_se(rate: float, n: int) -> float:
 
 
 def _map_replicates(config: ExperimentConfig, one):
-    """Apply ``one(rep)`` over all replicates, threaded when asked.
+    """Apply ``one(rep)`` over all replicates, in replicate order.
 
-    Results stay in replicate order either way, so aggregation is identical
-    whatever the execution interleaving.  ``one`` returns a value or a
-    CitkitError; more than 10% errors abort the grid point.
+    ``one`` returns a value or a CitkitError; more than 10% errors abort the
+    grid point.  Ensembles spread their own subtests over the cores (see
+    :func:`citkit.ensemble.ecit`).
     """
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(one, range(config.reps)))
-    else:
-        results = [one(rep) for rep in range(config.reps)]
+    results = [one(rep) for rep in range(config.reps)]
     failures = [r for r in results if isinstance(r, CitkitError)]
     if len(failures) > 0.1 * config.reps:
         raise DataError(f"{len(failures)} of {config.reps} replicates failed; "
@@ -209,8 +201,8 @@ def subtest_pvalue_sets(config: ExperimentConfig, hypothesis: str, ms: MethodSpe
                         point: dict, grid_index: int = 0):
     """Per-replicate raw subtest p-value vectors for combiner comparisons.
 
-    Seeds follow the same derivation as :func:`ecit`, so combining these
-    vectors reproduces exactly what the ensemble itself would report.
+    Each vector is the ``subtest_ps`` of the replicate's :func:`ecit` run, so
+    combining it reproduces exactly what the ensemble itself reports.
     """
     if ms.ensemble is None:
         raise ConfigError("subtest p-value sweeps need an ensemble method")
@@ -219,10 +211,7 @@ def subtest_pvalue_sets(config: ExperimentConfig, hypothesis: str, ms: MethodSpe
         seed = _rep_seed(config.seed, grid_index, rep)
         data = gen_pnl(_pnl_config(point, hypothesis, seed))
         try:
-            subs = partition(data, replace(ms.ensemble, seed=seed))
-            return np.array([run_cit(sub, replace(ms.base_spec(0),
-                                                  seed=_subset_seed(seed, k))).p
-                             for k, sub in enumerate(subs)])
+            return np.array(_run_method(data, ms, seed).subtest_ps)
         except CitkitError as exc:
             return exc
 
@@ -451,7 +440,7 @@ def build_experiment(flat: dict) -> ExperimentConfig:
         if key.startswith("test."):
             flat.pop(key)
     kwargs = {}
-    for name in ("reps", "level", "seed", "max_cond", "threads"):
+    for name in ("reps", "level", "seed", "max_cond"):
         if name in flat:
             kwargs[name] = flat.pop(name)
     if "alphas" in flat:

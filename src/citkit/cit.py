@@ -158,7 +158,7 @@ def median_heuristic(points):
         raise DataError("median heuristic needs at least 2 rows")
     if n > 1000:
         pts = pts[np.unique(np.linspace(0, n - 1, 1000).astype(int))]
-    med = float(np.median(pdist(pts)))
+    med = float(np.median(pdist(pts), overwrite_input=True))
     if not np.isfinite(med) or med <= 0.0:
         raise DataError("median pairwise distance is zero; input rows are (nearly) identical")
     return med
@@ -174,13 +174,20 @@ def _standardize(block, name):
 
 
 def _center(K):
-    return K - K.mean(axis=0)[None, :] - K.mean(axis=1)[:, None] + K.mean()
+    """Double-center K in place and return it."""
+    col, row, mean = K.mean(axis=0), K.mean(axis=1), K.mean()
+    K -= col[None, :]
+    K -= row[:, None]
+    K += mean
+    return K
 
 
 def _gaussian_gram(block):
     sigma = _KCIT_BANDWIDTH_SCALE * median_heuristic(block)
-    sq = squareform(pdist(block, "sqeuclidean"))
-    return np.exp(-sq / (2.0 * sigma * sigma))
+    K = squareform(pdist(block, "sqeuclidean"))
+    np.negative(K, out=K)
+    K /= 2.0 * sigma * sigma
+    return np.exp(K, out=K)
 
 
 def _gamma_upper_p(stat, mean, var):
@@ -241,15 +248,22 @@ def kcit(data, spec=None):
     x = _standardize(data.x, "x")
     y = _standardize(data.y, "y")
     if dz:
+        # n x n buffers are overwritten in place and dropped once used, so
+        # that the peak stays at four of them while A and B are formed
         z = _standardize(data.z, "z")
-        Kx = _center(_gaussian_gram(np.hstack([x, z])))
-        Ky = _center(_gaussian_gram(y))
         Kz = _center(_gaussian_gram(z))
         eps = spec.ridge * n
-        chol = cho_factor(Kz + eps * np.eye(n), lower=True)
-        Rz = eps * cho_solve(chol, np.eye(n))
-        A = Rz @ Kx @ Rz
-        B = Rz @ Ky @ Rz
+        Kz.flat[::n + 1] += eps
+        chol = cho_factor(Kz, lower=True, overwrite_a=True)
+        del Kz
+        Rz = cho_solve(chol, np.eye(n, order="F"), overwrite_b=True)
+        del chol
+        Rz *= eps
+        Kx = _center(_gaussian_gram(np.hstack([x, z])))
+        A = np.matmul(Rz @ Kx, Rz, out=Kx)
+        Ky = _center(_gaussian_gram(y))
+        B = np.matmul(Rz @ Ky, Rz, out=Ky)
+        del Rz
     else:
         A = _center(_gaussian_gram(x))
         B = _center(_gaussian_gram(y))
@@ -285,7 +299,11 @@ def _rff(block, n_features, sigma, rng):
     d = block.shape[1]
     W = rng.normal(0.0, 1.0 / sigma, size=(d, n_features))
     b = rng.uniform(0.0, 2.0 * np.pi, size=n_features)
-    return np.sqrt(2.0 / n_features) * np.cos(block @ W + b)
+    features = block @ W
+    features += b
+    np.cos(features, out=features)
+    features *= np.sqrt(2.0 / n_features)
+    return features
 
 
 def rcit(data, spec=None):
@@ -308,22 +326,23 @@ def rcit(data, spec=None):
     if dz:
         z = _standardize(data.z, "z")
         xa = np.hstack([x, z])
-        fx = _rff(xa, spec.num_features_xy, _RCIT_BANDWIDTH_SCALE * median_heuristic(xa), rng)
-        fy = _rff(y, spec.num_features_xy, _RCIT_BANDWIDTH_SCALE * median_heuristic(y), rng)
+        ex = _rff(xa, spec.num_features_xy, _RCIT_BANDWIDTH_SCALE * median_heuristic(xa), rng)
+        ey = _rff(y, spec.num_features_xy, _RCIT_BANDWIDTH_SCALE * median_heuristic(y), rng)
         fz = _rff(z, spec.num_features_z, _RCIT_BANDWIDTH_SCALE * median_heuristic(z), rng)
-        fx = fx - fx.mean(axis=0)
-        fy = fy - fy.mean(axis=0)
-        fz = fz - fz.mean(axis=0)
-        # ridge-residualize the x and y features on the z features
+        ex -= ex.mean(axis=0)
+        ey -= ey.mean(axis=0)
+        fz -= fz.mean(axis=0)
+        # ridge-residualize the x and y features on the z features, in place
         czz = fz.T @ fz / n + spec.ridge * np.eye(fz.shape[1])
         chol = cho_factor(czz, lower=True)
-        ex = fx - fz @ cho_solve(chol, fz.T @ fx / n)
-        ey = fy - fz @ cho_solve(chol, fz.T @ fy / n)
+        ex -= fz @ cho_solve(chol, fz.T @ ex / n)
+        ey -= fz @ cho_solve(chol, fz.T @ ey / n)
+        del fz
     else:
         ex = _rff(x, spec.num_features_xy, _RCIT_BANDWIDTH_SCALE * median_heuristic(x), rng)
         ey = _rff(y, spec.num_features_xy, _RCIT_BANDWIDTH_SCALE * median_heuristic(y), rng)
-        ex = ex - ex.mean(axis=0)
-        ey = ey - ey.mean(axis=0)
+        ex -= ex.mean(axis=0)
+        ey -= ey.mean(axis=0)
 
     cross = ex.T @ ey / n
     stat = float(n * (cross * cross).sum())
@@ -339,7 +358,9 @@ def rcit(data, spec=None):
     else:
         # the reported statistic is tr(A B) / n for the outer-product kernels
         # A = ex ex', B = ey ey'; calibrate on the unscaled trace
-        cums = permutation_cumulants(feature_invariants(ex), feature_invariants(ey), n)
+        inv_x = feature_invariants(ex)
+        del ex
+        cums = permutation_cumulants(inv_x, feature_invariants(ey), n)
         p = trace_null_sf(n * stat, cums)
         flags = ()
         if p is None:

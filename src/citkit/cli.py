@@ -74,7 +74,7 @@ def _cit_spec(args, seed) -> CITestSpec:
 
 
 def _ensemble_config(args, seed) -> EnsembleConfig:
-    kwargs = {"seed": seed, "parallelism": args.threads}
+    kwargs = {"seed": seed}
     if args.nk is not None:
         kwargs["n_k"] = args.nk
     if args.K is not None:
@@ -126,8 +126,6 @@ def _global_flags(default: bool) -> argparse.ArgumentParser:
                    **({"default": None} if default else s))
     p.add_argument("--format", choices=("csv", "json"),
                    **({"default": "csv"} if default else s))
-    p.add_argument("--threads", type=int,
-                   **({"default": 1} if default else s))
     return p
 
 
@@ -306,7 +304,6 @@ def _cmd_bench(args):
         flat.update(parse_config_text(item))
     flat["kind"] = _BENCH_KINDS[args.bench_cmd]
     flat.setdefault("seed", args.seed)
-    flat.setdefault("threads", args.threads)
     out_path = flat.pop("out", None)
     config = build_experiment(flat)
     report = run_experiment(config)
@@ -318,8 +315,7 @@ def _cmd_pc(args):
     spec = CITestSpec(method=args.method, seed=args.seed)
     if args.nk is not None:
         cfg = EnsembleConfig(n_k=args.nk, seed=args.seed,
-                             params=StableParams(args.stable_alpha, 0.0, 1.0, 0.0),
-                             parallelism=args.threads)
+                             params=StableParams(args.stable_alpha, 0.0, 1.0, 0.0))
         tester = make_ensemble_tester(matrix, spec, cfg)
     else:
         tester = make_cit_tester(matrix, spec)

@@ -1,13 +1,17 @@
 """Divide-and-aggregate engine: split the data, test each subset, pool p-values.
 
 The pipeline is partition -> per-subset base test -> clamp -> stable-law
-combination.  Subtest seeds are derived counter-style from the master seed and
-the subset index, so results do not depend on execution order or on how many
-workers actually ran the subtests.
+combination.  The subtests run on one process-wide thread pool, sized by
+:func:`_subtest_workers` so that subtest threads times BLAS threads never
+exceed the usable cores.  Subtest seeds are derived counter-style from the
+master seed and the subset index, so results do not depend on execution order
+or on how many workers ran the subtests.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -41,7 +45,6 @@ class EnsembleConfig:
     remainder_policy: str = "drop"
     seed: int = 0
     epsilon: float = 1e-12
-    parallelism: int = 1
 
     def __post_init__(self):
         if (self.n_k is None) == (self.K is None):
@@ -56,13 +59,116 @@ class EnsembleConfig:
             raise ConfigError(f"unknown partition policy {self.partition_policy!r}")
         if self.remainder_policy not in _REMAINDER_POLICIES:
             raise ConfigError(f"unknown remainder policy {self.remainder_policy!r}")
-        if self.parallelism < 1:
-            raise ConfigError(f"parallelism hint must be >= 1, got {self.parallelism}")
 
 
 def _subset_seed(master: int, index: int) -> int:
     """Counter-style per-subset seed: reproducible regardless of run order."""
     return int(np.random.SeedSequence((master, 1, index)).generate_state(1, np.uint64)[0])
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _blas_threads(cores: int) -> int:
+    """Threads one BLAS call will use, by OpenBLAS's own rule.
+
+    numpy's wheels bundle OpenBLAS, which takes the first of these variables
+    that holds a positive integer and otherwise uses every core.
+    """
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            value = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            return value
+    return cores
+
+
+def _subtest_workers(K: int) -> int:
+    """Threads that run an ensemble's K subtests: min(K, cores // BLAS threads).
+
+    With BLAS unpinned this is 1, and the subtests run one after another on
+    the calling thread: a second Python thread would only fight the BLAS
+    threads for the same cores.
+    """
+    cores = _usable_cores()
+    return max(1, min(K, cores // _blas_threads(cores)))
+
+
+_POOL: ThreadPoolExecutor | None = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The process-wide helper pool, created on first use."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(max_workers=max(1, _usable_cores() - 1),
+                                       thread_name_prefix="citkit-subtest")
+        return _POOL
+
+
+def _forget_pool():
+    # a forked child inherits the pool object but none of its threads
+    global _POOL
+    _POOL = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_subtests(subsets, specs, workers: int) -> list[TestOutcome]:
+    """Outcomes of ``run_cit`` on every subset, in subset order.
+
+    The calling thread and ``workers - 1`` pool helpers draw subset indices
+    in ascending order from one shared counter.  After a failure no new index
+    is drawn; once the running subtests end, the error of the lowest failing
+    index is raised.  Every lower index was drawn before it, so that is the
+    error a serial run would raise.
+    """
+    K = len(subsets)
+    results: list = [None] * K
+    lock = threading.Lock()
+    next_index = 0
+    stop = False
+
+    def drain():
+        nonlocal next_index, stop
+        while True:
+            with lock:
+                if stop or next_index == K:
+                    return
+                k = next_index
+                next_index += 1
+            try:
+                results[k] = run_cit(subsets[k], specs[k])
+            except Exception as exc:  # kept, and raised in index order below
+                results[k] = exc
+                with lock:
+                    stop = True
+
+    helpers = [_pool().submit(drain) for _ in range(workers - 1)]
+    try:
+        drain()
+    finally:
+        with lock:
+            stop = True
+        for helper in helpers:
+            if not helper.cancel():
+                helper.result()
+    for k, result in enumerate(results):
+        if isinstance(result, CitkitError):
+            raise type(result)(f"subtest {k} of {K}: {result}") from result
+        if isinstance(result, Exception):
+            raise result
+    return results
 
 
 def partition(data: DataTriple, config: EnsembleConfig) -> list[DataTriple]:
@@ -105,8 +211,16 @@ def ecit(data: DataTriple, base: CITestSpec, config: EnsembleConfig) -> TestOutc
     """Run the base test on each subset and combine p-values via the stable law.
 
     The returned outcome's ``subtest_ps`` holds the raw per-subset p-values
-    (clamping is internal to the combination step), and ``p`` is independent
-    of the parallelism hint.
+    (clamping is internal to the combination step).
+
+    The subtests run on min(K, cores // BLAS threads) threads, the calling
+    thread among them.  The cores are those of the process's CPU affinity
+    mask, and the BLAS threads follow OpenBLAS's rule: the first positive
+    value of ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
+    ``OMP_NUM_THREADS``, and otherwise every core.  Seeds depend only on the
+    subset index, so ``p`` and ``subtest_ps`` are the same for any number of
+    threads.  To run on one core, pin the affinity mask to one core or leave
+    BLAS unpinned.
 
     A subtest that fails fails the whole run: the error is re-raised with
     ``subtest k of K:`` in front of its message, for example when one subset
@@ -116,18 +230,7 @@ def ecit(data: DataTriple, base: CITestSpec, config: EnsembleConfig) -> TestOutc
     t0 = time.perf_counter()
     subsets = partition(data, config)
     specs = [with_seed(base, _subset_seed(config.seed, k)) for k in range(len(subsets))]
-
-    def _one(k: int) -> TestOutcome:
-        try:
-            return run_cit(subsets[k], specs[k])
-        except CitkitError as exc:
-            raise type(exc)(f"subtest {k} of {len(subsets)}: {exc}") from exc
-
-    if config.parallelism > 1 and len(subsets) > 1:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            outcomes = list(pool.map(_one, range(len(subsets))))
-    else:
-        outcomes = [_one(k) for k in range(len(subsets))]
+    outcomes = _run_subtests(subsets, specs, _subtest_workers(len(subsets)))
 
     raw_ps = tuple(o.p for o in outcomes)
     clamped = clamp_pvalues(np.array(raw_ps), epsilon=config.epsilon)
@@ -149,6 +252,11 @@ def runtime_profile(base: CITestSpec, config: EnsembleConfig | None,
     With ``config`` set the ensemble pipeline is timed; with ``config=None``
     the raw base test is timed on the full sample.  Returns a list of
     ``(n, median_elapsed)`` rows, one per requested size.
+
+    An ensemble runs its subtests on min(K, cores // BLAS threads) threads
+    (see :func:`ecit`), so the ensemble timings use every core the process
+    may run on.  To time one core, pin the process's CPU affinity to one
+    core or leave BLAS unpinned.
     """
     sizes = [int(s) for s in sizes]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):

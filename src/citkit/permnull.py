@@ -61,39 +61,48 @@ _INVARIANT_NAMES = (
 )
 
 # rows per block of the upper-triangle sweep in ``feature_invariants``; at
-# n = 2000 and k = 100, 128 rows ran the sweep faster than 256 or 512
-_ROW_BLOCK = 128
+# n = 2000 and k = 100, 64 and 128 rows ran the sweep equally fast and faster
+# than 256 or 512, and 64 rows halve the two block buffers
+_ROW_BLOCK = 64
 
 
 def dense_invariants(M):
     """All invariants of a symmetric matrix needed by the moment tables.
 
-    One matrix product is required; everything else is elementwise.
+    One matrix product is required; everything else is elementwise.  The
+    five entrywise products share one n x n buffer.
     """
     dg = np.diagonal(M)
     M2 = M @ M
     MM = M * M
     rowsq = MM.sum(axis=1)
     dg2 = dg * dg
+    buf = np.multiply(MM, M)
+    e3, le3 = float(buf.sum()), float(dg @ buf.sum(axis=1))
+    e4 = float(np.multiply(MM, MM, out=buf).sum())
+    np.multiply(M2, M, out=buf)
+    tr3, ltr3 = float(buf.sum()), float(dg @ buf.sum(axis=1))
+    tr4 = float(np.multiply(M2, M2, out=buf).sum())
+    th4 = float(np.multiply(MM, M2, out=buf).sum())
     return {
         "t": float(dg.sum()),
         "d": float(dg2.sum()),
         "d3": float((dg2 * dg).sum()),
         "d4": float((dg2 * dg2).sum()),
         "q": float(rowsq.sum()),
-        "e3": float((MM * M).sum()),
-        "e4": float((MM * MM).sum()),
-        "tr3": float((M2 * M).sum()),
-        "tr4": float((M2 * M2).sum()),
+        "e3": e3,
+        "e4": e4,
+        "tr3": tr3,
+        "tr4": tr4,
         "m21": float(dg @ rowsq),
         "m111": float(dg @ M @ dg),
-        "ltr3": float(dg @ (M2 * M).sum(axis=1)),
+        "ltr3": ltr3,
         "l2d": float(dg2 @ rowsq),
         "llq": float(dg @ MM @ dg),
         "l2le": float(dg2 @ M @ dg),
-        "le3": float(dg @ (MM * M).sum(axis=1)),
+        "le3": le3,
         "bow": float(rowsq @ rowsq),
-        "th4": float((MM * M2).sum()),
+        "th4": th4,
         "pll": float(dg @ M2 @ dg),
         "lds": float(dg @ M @ rowsq),
     }
@@ -106,8 +115,9 @@ def feature_invariants(ex):
     sums ``e3``, ``e4``, ``th4`` and ``le3``.  Those sweep the upper triangle
     of A in blocks of ``_ROW_BLOCK`` rows: block rows lo:hi meet columns lo:n
     only, and since A is symmetric the diagonal block counts once and the part
-    right of it twice.  Memory stays at two ``_ROW_BLOCK x n`` buffers, A's
-    block and its entrywise square; the cube overwrites the block in place.
+    right of it twice.  Memory stays at one n x k buffer, ``ex @ G``, plus
+    two ``_ROW_BLOCK x n`` buffers, A's block and its entrywise square; the
+    cube overwrites the block in place.
     """
     n, k = ex.shape
     a = (ex * ex).sum(axis=1)            # diag(A)
@@ -117,9 +127,12 @@ def feature_invariants(ex):
     exa2 = ex.T @ (a * a)
     exG = ex @ G
     r = (exG * ex).sum(axis=1)           # diag(A^2)
-    r3 = ((ex @ G2) * ex).sum(axis=1)    # diag(A^3)
-    wa = ex * np.sqrt(a)[:, None]
+    buf = ex @ G2                        # one n x k buffer for r3, then wa
+    buf *= ex
+    r3 = buf.sum(axis=1)                 # diag(A^3)
+    wa = np.multiply(ex, np.sqrt(a)[:, None], out=buf)
     cross_wa = wa.T @ wa
+    del buf, wa
     out = {
         "t": float(np.trace(G)),
         "d": float(a @ a),
@@ -158,6 +171,7 @@ def feature_invariants(ex):
         rows, right_a, right = (P @ weights).T
         e3 += float(rows.sum() + right.sum())
         le3 += float(a[lo:hi] @ rows + right_a.sum())
+        del P, P2, D                     # free this block before the next is made
     out["e3"] = e3
     out["e4"] = e4
     out["th4"] = th4

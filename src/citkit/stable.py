@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike
-from scipy import integrate, special
+from scipy import special
 from scipy.optimize import brentq, elementwise
 
 from .errors import ConfigError, NumericalError
@@ -247,6 +247,10 @@ def _cdf_fixed_quad_symmetric(zs, alpha):
 
 
 def _quad(f, lo, hi, splits):
+    # imported on first use: only laws off the fast path and the node
+    # fallback near alpha = 2 come here, and the import costs about 50 ms
+    from scipy import integrate
+
     pts = np.unique(splits[np.isfinite(splits)]).tolist() or None
     try:
         with np.errstate(all="ignore"), warnings.catch_warnings():

@@ -27,6 +27,15 @@ def test_import_leaves_out_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
+def test_stable_combine_leaves_out_scipy_integrate():
+    # scipy.integrate serves only the quadrature fallback near alpha = 2
+    out = _python("-c", "import sys, citkit; "
+                  "citkit.combine_stable([0.1, 0.2, 0.3], citkit.StableParams(1.75, 0, 1, 0)); "
+                  "print('scipy.integrate' in sys.modules, 'scipy.optimize' in sys.modules)")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False True"
+
+
 def test_python_m_citkit_runs_the_cli():
     out = _python("-m", "citkit", "combine", "--method", "fisher", "--format", "json",
                   "0.05", "0.05")

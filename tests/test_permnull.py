@@ -97,9 +97,9 @@ class TestPermutationCumulants:
 
 
 class TestFeatureInvariants:
-    # n below, on and across the row-block boundary of the triangle sweep
+    # n below, on and across one and two row blocks of the triangle sweep
     @pytest.mark.parametrize("k", [5, 100])
-    @pytest.mark.parametrize("n", [8, 127, 128, 129, 300, 2001])
+    @pytest.mark.parametrize("n", [8, 63, 64, 65, 127, 128, 129, 300, 2001])
     def test_matches_dense_invariants_of_gram(self, n, k):
         rng = np.random.default_rng((n, k))
         ex = rng.standard_normal((n, k))
