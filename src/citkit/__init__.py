@@ -46,7 +46,6 @@ from .datagen import (
 from .ensemble import EnsembleConfig, ecit, partition, runtime_profile
 from .discovery import (
     SkeletonGraph,
-    cit_pair_benchmark,
     make_cit_tester,
     make_dsep_oracle,
     make_ensemble_tester,
@@ -104,7 +103,6 @@ __all__ = [
     "partition",
     "runtime_profile",
     "SkeletonGraph",
-    "cit_pair_benchmark",
     "make_cit_tester",
     "make_dsep_oracle",
     "make_ensemble_tester",

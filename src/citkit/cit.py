@@ -19,15 +19,16 @@ Conventions shared by the kernel tests:
   for validation (``permutations > 0``).
 """
 
+import ctypes
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, cython_lapack
 from scipy.spatial.distance import pdist, squareform
 from scipy.special import gammaincc, ndtr
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 from .permnull import dense_invariants, feature_invariants, permutation_cumulants, trace_null_sf
 
 __all__ = [
@@ -53,6 +54,33 @@ _METHODS = ("fisherz", "kcit", "rcit")
 # of what "kcit"/"rcit" mean in this package.
 _KCIT_BANDWIDTH_SCALE = 2.0
 _RCIT_BANDWIDTH_SCALE = 4.0
+
+# Rows per slice when an n x n matrix is centred or mirrored in place: the
+# temporaries stay a few rows wide instead of n x n.
+_ROW_BLOCK = 64
+_STRICT_LOWER = np.tri(_ROW_BLOCK, k=-1, dtype=bool)
+
+
+def _lapack_routine(name):
+    """LAPACK routine ``name`` from scipy's Cython table, callable by ctypes.
+
+    The table holds the raw function pointers behind ``scipy.linalg``, as
+    capsules.  A ``CFUNCTYPE`` call releases the GIL while LAPACK runs, which
+    scipy's own wrappers do not, so concurrent subtests overlap their work.
+    Only routines with the ``(uplo, n, a, lda, info)`` signature are bound.
+    """
+    capsule = cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    c_int_p = ctypes.POINTER(ctypes.c_int)
+    prototype = ctypes.CFUNCTYPE(None, ctypes.c_char_p, c_int_p, ctypes.c_void_p, c_int_p, c_int_p)
+    return prototype(get_pointer(capsule, get_name(capsule)))
+
+
+_DPOTRF = _lapack_routine("dpotrf")
+_DPOTRI = _lapack_routine("dpotri")
 
 
 def _as_block(arr, name):
@@ -174,12 +202,42 @@ def _standardize(block, name):
 
 
 def _center(K):
-    """Double-center K in place and return it."""
-    col, row, mean = K.mean(axis=0), K.mean(axis=1), K.mean()
-    K -= col[None, :]
-    K -= row[:, None]
+    """Double-center the symmetric K in place and return it.
+
+    Entry (i, j) loses m_i + m_j for one vector m of column means.  The sum
+    is commutative, so an exactly symmetric K stays exactly symmetric.
+    """
+    m = K.mean(axis=0)
+    mean = m.mean()
+    for lo in range(0, K.shape[0], _ROW_BLOCK):
+        K[lo:lo + _ROW_BLOCK] -= m[lo:lo + _ROW_BLOCK, None] + m
     K += mean
     return K
+
+
+def _spd_inverse(a):
+    """Invert the symmetric positive definite ``a`` in place and return it.
+
+    LAPACK ``dpotrf`` then ``dpotri``, with the GIL released.  ``a`` must be
+    a C-contiguous float64 square array with equal triangles: LAPACK reads
+    the buffer as its Fortran transpose, so it works on the upper triangle in
+    C order.  The result is mirrored into the lower one and is exactly
+    symmetric.
+    """
+    if a.dtype != np.float64 or a.ndim != 2 or a.shape[0] != a.shape[1] or not a.flags.c_contiguous:
+        raise ValueError("_spd_inverse needs a C-contiguous float64 square array")
+    n = a.shape[0]
+    size, info = ctypes.c_int(n), ctypes.c_int(0)
+    for routine, step in ((_DPOTRF, "Cholesky factorization"), (_DPOTRI, "inversion")):
+        routine(b"L", size, a.ctypes.data, size, info)
+        if info.value != 0:
+            raise NumericalError(f"{step} of the {n} x {n} ridge matrix failed (LAPACK info {info.value})")
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n)
+        a[lo:hi, :lo] = a[:lo, lo:hi].T
+        diag = a[lo:hi, lo:hi]
+        np.copyto(diag, diag.T, where=_STRICT_LOWER[:hi - lo, :hi - lo])
+    return a
 
 
 def _gaussian_gram(block):
@@ -239,7 +297,18 @@ def fisher_z(data):
 
 
 def kcit(data, spec=None):
-    """Kernel CI test: trace statistic of z-regressed kernels, permutation-cumulant null."""
+    """Kernel CI test: trace statistic of z-regressed kernels, permutation-cumulant null.
+
+    With d_z > 0 the regression on z is Rz = eps (Kz + eps I)^-1 with
+    eps = ridge * n, from LAPACK's Cholesky factorization and inverse
+    (:func:`_spd_inverse`).  Rz is exactly symmetric.
+
+    Threads: the ridge inverse, the products with Rz (BLAS) and numpy's
+    n x n elementwise work run with the GIL released, so subtests on
+    several threads overlap them.  The pairwise distances behind each Gram
+    matrix (scipy's ``pdist`` and ``squareform``), the Python glue, the
+    cumulant tables and the null tail hold it.
+    """
     t0 = time.perf_counter()
     spec = spec or CITestSpec(method="kcit")
     n, dz = data.n, data.z.shape[1]
@@ -254,10 +323,7 @@ def kcit(data, spec=None):
         Kz = _center(_gaussian_gram(z))
         eps = spec.ridge * n
         Kz.flat[::n + 1] += eps
-        chol = cho_factor(Kz, lower=True, overwrite_a=True)
-        del Kz
-        Rz = cho_solve(chol, np.eye(n, order="F"), overwrite_b=True)
-        del chol
+        Rz = _spd_inverse(Kz)
         Rz *= eps
         Kx = _center(_gaussian_gram(np.hstack([x, z])))
         A = np.matmul(Rz @ Kx, Rz, out=Kx)

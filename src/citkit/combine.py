@@ -14,9 +14,10 @@ against the null, regardless of the natural direction of the underlying
 statistic.
 """
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-import mpmath
 import numpy as np
 from scipy.special import chdtr, chdtrc, ndtr, ndtri, stdtr
 
@@ -204,18 +205,16 @@ def combine_classical(method, pvals, normal_approx=False):
 
 
 def _irwin_hall_cdf(x, k):
-    """Exact CDF of the sum of k iid Uniform(0,1), evaluated in high precision.
+    """Exact CDF of the sum of k iid Uniform(0,1), correctly rounded.
 
     The alternating series suffers catastrophic float64 cancellation already
-    around k ~ 15, hence mpmath.
+    around k ~ 15, so it is summed in exact rational arithmetic: a float x is
+    a rational number, and the one rounding is the final conversion.
     """
     if x <= 0.0:
         return 0.0
     if x >= k:
         return 1.0
-    with mpmath.workdps(60):
-        xm = mpmath.mpf(x)
-        total = mpmath.mpf(0)
-        for j in range(int(mpmath.floor(xm)) + 1):
-            total += (-1) ** j * mpmath.binomial(k, j) * (xm - j) ** k
-        return float(total / mpmath.factorial(k))
+    xq = Fraction(x)
+    total = sum((-1) ** j * math.comb(k, j) * (xq - j) ** k for j in range(math.floor(x) + 1))
+    return float(total / math.factorial(k))

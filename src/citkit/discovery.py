@@ -20,7 +20,7 @@ from .errors import CitkitError, ConfigError
 from .datagen import GraphSpec
 
 __all__ = [
-    "SkeletonGraph", "pc_skeleton", "skeleton_metrics", "cit_pair_benchmark",
+    "SkeletonGraph", "pc_skeleton", "skeleton_metrics",
     "make_cit_tester", "make_ensemble_tester", "make_dsep_oracle",
     "skeleton_of_graph",
 ]
@@ -138,38 +138,6 @@ def skeleton_metrics(estimated: SkeletonGraph, truth: SkeletonGraph):
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     shd = fp + fn
     return precision, recall, f1, shd
-
-
-def cit_pair_benchmark(data, queries, test, level: float = 0.05):
-    """Precision/recall/F1 of dependence predictions over labelled queries.
-
-    Each query is a mapping with keys ``x`` (column), ``y`` (column), ``z``
-    (sequence of columns), and ``label`` ("dependent" or "independent").  A
-    pair is predicted dependent iff p <= level.
-    """
-    data = np.asarray(data, dtype=float)
-    d = data.shape[1]
-    tp = fp = fn = 0
-    for q in queries:
-        try:
-            i, j = int(q["x"]), int(q["y"])
-            S = tuple(int(c) for c in q.get("z", ()))
-            label = str(q["label"]).lower()
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed query {q!r}: {exc}") from exc
-        if label not in ("dependent", "independent"):
-            raise ConfigError(f"query label must be dependent/independent, got {label!r}")
-        if not all(0 <= c < d for c in (i, j, *S)) or i == j:
-            raise ConfigError(f"query columns out of range or degenerate: {q!r}")
-        predicted_dep = float(test(i, j, S)) <= level
-        actual_dep = label == "dependent"
-        tp += predicted_dep and actual_dep
-        fp += predicted_dep and not actual_dep
-        fn += actual_dep and not predicted_dep
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1
 
 
 # ---------------------------------------------------------------------------

@@ -220,7 +220,10 @@ def ecit(data: DataTriple, base: CITestSpec, config: EnsembleConfig) -> TestOutc
     ``OMP_NUM_THREADS``, and otherwise every core.  Seeds depend only on the
     subset index, so ``p`` and ``subtest_ps`` are the same for any number of
     threads.  To run on one core, pin the affinity mask to one core or leave
-    BLAS unpinned.
+    BLAS unpinned.  The threads overlap only where the base test releases
+    the GIL; see :func:`citkit.cit.kcit` for which of its steps do.  The
+    combination runs on the calling thread once every subtest is done, and
+    holds the GIL: a fraction of a millisecond for K up to about 10.
 
     A subtest that fails fails the whole run: the error is re-raised with
     ``subtest k of K:`` in front of its message, for example when one subset

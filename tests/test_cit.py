@@ -7,13 +7,20 @@ generators whose ground truth is known by construction.  Seeds are fixed so
 every rate below is a frozen, reproducible number.
 """
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import cho_factor, cho_solve
 
 from citkit.cit import (
     CITestSpec,
+    _center,
     _gamma_upper_p,
+    _gaussian_gram,
+    _spd_inverse,
     DataTriple,
     fisher_z,
     kcit,
@@ -23,7 +30,7 @@ from citkit.cit import (
 )
 from citkit.cit import TestOutcome as CitOutcome
 from citkit.datagen import PnlConfig, gen_pnl
-from citkit.errors import ConfigError, DataError
+from citkit.errors import ConfigError, DataError, NumericalError
 
 
 def _rep_seed(*key):
@@ -237,6 +244,56 @@ class TestKcit:
         y = x + 0.3 * rng.standard_normal((200, 1))
         out = kcit(DataTriple(x, y, None), CITestSpec(method="kcit"))
         assert out.p < 0.01  # strong marginal dependence
+
+
+def _ridge_matrix(n, d_z, seed):
+    """kcit's ridge matrix: a centred Gaussian Gram plus 1e-3 n on its diagonal."""
+    Kz = _center(_gaussian_gram(np.random.default_rng(seed).standard_normal((n, d_z))))
+    Kz.flat[::n + 1] += 1e-3 * n
+    return Kz
+
+
+class TestRidgeInverse:
+    @pytest.mark.parametrize("n", [8, 63, 200, 401])
+    def test_center_is_bit_symmetric(self, n):
+        K = _center(_gaussian_gram(np.random.default_rng(n).standard_normal((n, 2))))
+        assert np.array_equal(K, K.T)
+        assert abs(K.sum(axis=0)).max() < 1e-10 * n
+
+    @pytest.mark.parametrize("n", [8, 63, 200, 401])
+    def test_matches_cholesky_solve(self, n):
+        Kz = _ridge_matrix(n, 2, seed=n)
+        ref = cho_solve(cho_factor(Kz, lower=True), np.eye(n))
+        got = _spd_inverse(Kz.copy())
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [8, 63, 64, 65, 200, 401])
+    def test_inverse_is_bit_symmetric(self, n):
+        Rz = _spd_inverse(_ridge_matrix(n, 3, seed=n))
+        assert np.array_equal(Rz, Rz.T)
+
+    def test_two_threads_match_one(self):
+        mats = [_ridge_matrix(200, 1, seed=s) for s in range(8)]
+        serial = [_spd_inverse(m.copy()) for m in mats]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                for _ in range(5):
+                    pooled = list(pool.map(lambda m: _spd_inverse(m.copy()), mats, timeout=60))
+                    assert all(np.array_equal(a, b) for a, b in zip(pooled, serial))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_not_positive_definite_raises(self):
+        a = np.eye(5)
+        a[3, 3] = -1.0
+        with pytest.raises(NumericalError, match="Cholesky factorization .* info 4"):
+            _spd_inverse(a)
+
+    def test_rejects_fortran_order(self):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _spd_inverse(np.asfortranarray(_ridge_matrix(10, 1, seed=0)))
 
 
 class TestRcit:

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import citkit
+from citkit import cit
 from citkit.cli import main
+from citkit.errors import NumericalError
 
 SRC = str(Path(citkit.__file__).resolve().parent.parent)
 
@@ -28,12 +30,14 @@ def test_import_leaves_out_scipy_stats():
 
 
 def test_stable_combine_leaves_out_scipy_integrate():
-    # scipy.integrate serves only the quadrature fallback near alpha = 2
+    # scipy.integrate serves only the quadrature fallback near alpha = 2, and
+    # scipy.optimize only the root search off the symmetric fast path
     out = _python("-c", "import sys, citkit; "
                   "citkit.combine_stable([0.1, 0.2, 0.3], citkit.StableParams(1.75, 0, 1, 0)); "
-                  "print('scipy.integrate' in sys.modules, 'scipy.optimize' in sys.modules)")
+                  "print('scipy.integrate' in sys.modules, 'scipy.optimize' in sys.modules, "
+                  "'mpmath' in sys.modules)")
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False True"
+    assert out.stdout.strip() == "False False False"
 
 
 def test_python_m_citkit_runs_the_cli():
@@ -71,6 +75,28 @@ def test_pc_run_explicit_max_cond_above_d_minus_2_exits_2(chain_csv, capsys):
     rc = main(["pc", "run", "--data", str(chain_csv), "--method", "fisherz", "--max-cond", "3"])
     assert rc == 2
     assert "max_cond=3 exceeds d-2=2" in capsys.readouterr().err
+
+
+def test_data_error_exits_3(chain_csv, tmp_path, capsys):
+    rows = np.loadtxt(chain_csv, delimiter=",", skiprows=1)
+    rows[:, 0] = 1.0
+    path = tmp_path / "constant.csv"
+    np.savetxt(path, rows, delimiter=",", header="a,b,c,d", comments="")
+    rc = main(["cit", "run", "--data", str(path), "--x", "a", "--y", "b", "--z", "c",
+               "--method", "kcit"])
+    assert rc == 3
+    assert "column 0 of x is constant" in capsys.readouterr().err
+
+
+def test_numerical_error_exits_4(chain_csv, monkeypatch, capsys):
+    def fail(a):
+        raise NumericalError("Cholesky factorization of the ridge matrix failed")
+
+    monkeypatch.setattr(cit, "_spd_inverse", fail)
+    rc = main(["cit", "run", "--data", str(chain_csv), "--x", "a", "--y", "b", "--z", "c",
+               "--method", "kcit"])
+    assert rc == 4
+    assert "error: Cholesky factorization" in capsys.readouterr().err
 
 
 def test_bench_pc_on_four_variables(tmp_path):

@@ -242,6 +242,25 @@ class TestCombineClassical:
             ref = st.irwinhall.cdf(np.sum(pv), k)
             assert out.p_combined == pytest.approx(float(ref), abs=1e-10)
 
+    def test_irwin_hall_is_the_rounded_exact_sum(self):
+        # the alternating sum at 60 digits, rounded once, is what exact
+        # rational arithmetic must reproduce bit for bit
+        mpmath = pytest.importorskip("mpmath")
+        from citkit.combine import _irwin_hall_cdf
+
+        def reference(x, k):
+            with mpmath.workdps(60):
+                xm = mpmath.mpf(x)
+                total = sum((-1) ** j * mpmath.binomial(k, j) * (xm - j) ** k
+                            for j in range(int(mpmath.floor(xm)) + 1))
+                return float(total / mpmath.factorial(k))
+
+        rng = np.random.default_rng(30)
+        for k in range(1, 31):
+            for x in np.concatenate([np.linspace(0, k, 9)[1:-1], rng.uniform(0, k, 12),
+                                     [1e-4, k - 1e-4]]):
+                assert _irwin_hall_cdf(float(x), k) == reference(float(x), k), (x, k)
+
     @pytest.mark.parametrize("method", CLASSICAL_METHODS)
     def test_uniform_null(self, method):
         # every classical combiner must hand back U(0,1) under the null

@@ -373,6 +373,53 @@ class TestSymmetricTable:
 # sampling
 
 
+class TestSymmetricMachine:
+    """The fast path's zone evaluators, density and inverse."""
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.5, 1.75, 1.95])
+    def test_zones_match_loop_evaluation(self, alpha):
+        # reference: Horner on the unscaled origin series, Clenshaw on the
+        # Chebyshev band, Horner on the tail series; the sums run in another
+        # order, so agreement is to rounding of terms up to _TAYLOR_TERM_CAP
+        m = stable._symmetric_machine(alpha)
+        x = np.linspace(0.0, m._x_taylor, 41)
+        horner = np.zeros_like(x)
+        for coef in m._taylor_c[::-1]:
+            horner = horner * x * x + coef
+        assert_allclose(m.cdf(x), 0.5 + x * horner, rtol=0, atol=2e-13)
+
+        x = np.linspace(m._x_taylor, m._x_tail, 43)[1:-1]
+        t = m._cheb_t(x)
+        assert_allclose(m.cdf(x), np.polynomial.chebyshev.chebval(t, m._cheb), rtol=0, atol=1e-15)
+
+        v = np.geomspace(1e-12, 1.0, 25)
+        horner = np.zeros_like(v)
+        for coef in m._tail[::-1]:
+            horner = horner * v + coef
+        assert_allclose(m._tail_mass(v), v * horner, rtol=1e-14)
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.5, 1.75, 1.95, 1.995])
+    def test_density_is_the_cdf_slope(self, alpha):
+        m = stable._symmetric_machine(alpha)
+        # all three zones and both signs; the grid misses +-x_tail, where
+        # the mid and tail approximants meet with a jump of up to 1.5e-9
+        z = np.linspace(-1.5, 1.5, 60) * m._x_tail
+        h = 1e-5
+        slope = (m.cdf(z + h) - m.cdf(z - h)) / (2.0 * h)
+        assert_allclose(m.pdf(z), slope, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.3, 1.75, 1.95, 1.995])
+    def test_central_quantile_residual(self, alpha):
+        m = stable._symmetric_machine(alpha)
+        edge = m.tail_zone_mass
+        p = np.concatenate([np.linspace(edge, 1.0 - edge, 2001)[1:-1],
+                            0.5 + np.geomspace(1e-15, 1e-3, 13)])
+        q = m.central_quantile(p)
+        assert np.abs(m.cdf(q) - p).max() <= 1e-12
+        assert np.all(np.diff(q[:1999]) > 0)
+        assert np.all(np.sign(q) == np.sign(p - 0.5))
+
+
 class TestSampling:
     def test_deterministic_given_seed(self):
         p = StableParams(1.7, 0.3, 1.0, 0.0)
