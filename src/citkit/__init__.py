@@ -43,7 +43,7 @@ from .datagen import (
     gen_random_dag,
     simulate_scm,
 )
-from .ensemble import EnsembleConfig, ecit, partition, runtime_profile
+from .ensemble import EnsembleConfig, ecit, partition
 from .discovery import (
     SkeletonGraph,
     make_cit_tester,
@@ -64,6 +64,7 @@ from .bench import (
     load_data_triple,
     parse_config_text,
     run_experiment,
+    runtime_profile,
 )
 
 

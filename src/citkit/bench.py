@@ -24,7 +24,7 @@ from .combine import CLASSICAL_METHODS, clamp_pvalues, combine_classical, combin
 from .datagen import PnlConfig, gen_pnl, gen_random_dag, simulate_scm
 from .discovery import (make_cit_tester, make_dsep_oracle, make_ensemble_tester,
                         pc_skeleton, skeleton_metrics, skeleton_of_graph)
-from .ensemble import EnsembleConfig, ecit, runtime_profile
+from .ensemble import EnsembleConfig, ecit
 from .errors import CitkitError, ConfigError, DataError
 from .stable import StableParams
 
@@ -32,6 +32,7 @@ __all__ = [
     "ExperimentConfig", "MethodSpec", "MetricsReport", "ReportRow",
     "run_experiment", "parse_config_text", "build_experiment",
     "load_csv", "load_data_triple", "emit_report", "read_report_csv",
+    "runtime_profile",
 ]
 
 KINDS = ("type1", "power", "runtime", "alpha_ablation", "nk_ablation",
@@ -183,6 +184,39 @@ def _rate_rows(config: ExperimentConfig, hypothesis: str, metric: str):
             rows.append(ReportRow(_fingerprint(point), ms.label, metric, rate,
                                   _binomial_se(rate, len(dec)),
                                   1000.0 * float(np.median(elapsed[ms.label]))))
+    return rows
+
+
+def runtime_profile(base: CITestSpec, config: EnsembleConfig | None,
+                    sizes, seed: int = 0, repeats: int = 5):
+    """Median wall-clock seconds per total sample size, on synthetic null data.
+
+    With ``config`` set the ensemble pipeline is timed; with ``config=None``
+    the raw base test is timed on the full sample.  Returns a list of
+    ``(n, median_elapsed)`` rows, one per requested size.
+
+    An ensemble runs its subtests on min(K, cores // BLAS threads) threads
+    (see :func:`ecit`), so the ensemble timings use every core the process
+    may run on.  To time one core, pin the process's CPU affinity to one
+    core or leave BLAS unpinned.
+    """
+    sizes = [int(s) for s in sizes]
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ConfigError("sizes must be strictly ascending")
+    if repeats < 5:
+        raise ConfigError("runtime medians need at least 5 repetitions")
+    rows = []
+    for i, n in enumerate(sizes):
+        data = gen_pnl(PnlConfig(hypothesis="H0", n=n, seed=seed + i))
+        elapsed = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            if config is None:
+                run_cit(data, base)
+            else:
+                ecit(data, base, config)
+            elapsed.append(time.perf_counter() - t0)
+        rows.append((n, float(np.median(elapsed))))
     return rows
 
 

@@ -20,6 +20,7 @@ Conventions shared by the kernel tests:
 """
 
 import ctypes
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -54,6 +55,8 @@ _METHODS = ("fisherz", "kcit", "rcit")
 # of what "kcit"/"rcit" mean in this package.
 _KCIT_BANDWIDTH_SCALE = 2.0
 _RCIT_BANDWIDTH_SCALE = 4.0
+# The median is taken over at most this many rows.
+_MEDIAN_ROWS = 1000
 
 # Rows per slice when an n x n matrix is centred or mirrored in place: the
 # temporaries stay a few rows wide instead of n x n.
@@ -178,17 +181,43 @@ def median_heuristic(points):
     """Median pairwise Euclidean distance over at most 1000 rows.
 
     Rows beyond 1000 are thinned to an evenly spaced subsample, deterministic
-    in the row order.
+    in the row order.  The median is selected among the squared distances
+    (see :func:`_median_distance`).  Non-finite points raise ``DataError``:
+    NaN and inf distances would otherwise be moved aside by the selection
+    and go unnoticed.
     """
     pts = _as_block(points, "points")
     n = pts.shape[0]
     if n < 2:
         raise DataError("median heuristic needs at least 2 rows")
-    if n > 1000:
-        pts = pts[np.unique(np.linspace(0, n - 1, 1000).astype(int))]
-    med = float(np.median(pdist(pts), overwrite_input=True))
-    if not np.isfinite(med) or med <= 0.0:
+    bad = pts[~np.isfinite(pts)]
+    if bad.size:
+        raise DataError(f"median heuristic needs finite points; got {bad.size} "
+                        f"non-finite value(s): {', '.join(sorted(set(map(str, bad))))}")
+    if n > _MEDIAN_ROWS:
+        pts = pts[np.unique(np.linspace(0, n - 1, _MEDIAN_ROWS).astype(int))]
+    return _median_distance(pdist(pts, "sqeuclidean"))
+
+
+def _median_distance(sq):
+    """Median of sqrt(sq) for condensed squared distances ``sq``, reordered in place.
+
+    One selection of the upper middle order statistic; for an even count the
+    lower one is the maximum of the part below it.  Only those one or two
+    values are square-rooted and averaged as ``np.median`` does, so the result
+    equals ``np.median(pdist(pts))`` bit for bit: sqrt is monotone and
+    correctly rounded, and scipy's Euclidean distance is the square root of
+    its squared one.
+    """
+    half = sq.size // 2
+    sq.partition(half)
+    med = math.sqrt(sq[half])
+    if sq.size % 2 == 0:
+        med = (math.sqrt(sq[:half].max()) + med) / 2
+    if med <= 0.0:
         raise DataError("median pairwise distance is zero; input rows are (nearly) identical")
+    if not math.isfinite(med):
+        raise DataError("median pairwise distance overflows; rescale the input")
     return med
 
 
@@ -241,11 +270,21 @@ def _spd_inverse(a):
 
 
 def _gaussian_gram(block):
-    sigma = _KCIT_BANDWIDTH_SCALE * median_heuristic(block)
-    K = squareform(pdist(block, "sqeuclidean"))
-    np.negative(K, out=K)
-    K /= 2.0 * sigma * sigma
-    return np.exp(K, out=K)
+    """Gaussian Gram matrix of the rows of ``block``, from one ``pdist`` pass.
+
+    Up to 1000 rows the bandwidth comes from a copy of the same squared
+    distances; beyond that from the thinned rows of :func:`median_heuristic`.
+    The kernel is evaluated on the condensed vector, half the entries of the
+    matrix, and the diagonal is exp(-0.0) = 1.0.
+    """
+    sq = pdist(block, "sqeuclidean")
+    med = _median_distance(sq.copy()) if block.shape[0] <= _MEDIAN_ROWS else median_heuristic(block)
+    sigma = _KCIT_BANDWIDTH_SCALE * med
+    np.negative(sq, out=sq)
+    sq /= 2.0 * sigma * sigma
+    K = squareform(np.exp(sq, out=sq))
+    np.fill_diagonal(K, 1.0)
+    return K
 
 
 def _gamma_upper_p(stat, mean, var):
@@ -305,9 +344,9 @@ def kcit(data, spec=None):
 
     Threads: the ridge inverse, the products with Rz (BLAS) and numpy's
     n x n elementwise work run with the GIL released, so subtests on
-    several threads overlap them.  The pairwise distances behind each Gram
-    matrix (scipy's ``pdist`` and ``squareform``), the Python glue, the
-    cumulant tables and the null tail hold it.
+    several threads overlap them.  What holds it is one scipy ``pdist`` and
+    one ``squareform`` per Gram matrix (the bandwidth selection reuses that
+    ``pdist``), the Python glue, the cumulant tables and the null tail.
     """
     t0 = time.perf_counter()
     spec = spec or CITestSpec(method="kcit")

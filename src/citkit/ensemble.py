@@ -20,11 +20,10 @@ import numpy as np
 
 from .cit import CITestSpec, DataTriple, TestOutcome, run_cit, with_seed
 from .combine import clamp_pvalues, combine_stable
-from .datagen import PnlConfig, gen_pnl
 from .errors import CitkitError, ConfigError
 from .stable import StableParams
 
-__all__ = ["EnsembleConfig", "partition", "ecit", "runtime_profile"]
+__all__ = ["EnsembleConfig", "partition", "ecit"]
 
 _PARTITION_POLICIES = ("shuffle", "sequential")
 _REMAINDER_POLICIES = ("drop", "merge_last")
@@ -246,36 +245,3 @@ def ecit(data: DataTriple, base: CITestSpec, config: EnsembleConfig) -> TestOutc
         elapsed=time.perf_counter() - t0,
         subtest_ps=raw_ps,
     )
-
-
-def runtime_profile(base: CITestSpec, config: EnsembleConfig | None,
-                    sizes, seed: int = 0, repeats: int = 5):
-    """Median wall-clock seconds per total sample size, on synthetic null data.
-
-    With ``config`` set the ensemble pipeline is timed; with ``config=None``
-    the raw base test is timed on the full sample.  Returns a list of
-    ``(n, median_elapsed)`` rows, one per requested size.
-
-    An ensemble runs its subtests on min(K, cores // BLAS threads) threads
-    (see :func:`ecit`), so the ensemble timings use every core the process
-    may run on.  To time one core, pin the process's CPU affinity to one
-    core or leave BLAS unpinned.
-    """
-    sizes = [int(s) for s in sizes]
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ConfigError("sizes must be strictly ascending")
-    if repeats < 5:
-        raise ConfigError("runtime medians need at least 5 repetitions")
-    rows = []
-    for i, n in enumerate(sizes):
-        data = gen_pnl(PnlConfig(hypothesis="H0", n=n, seed=seed + i))
-        elapsed = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            if config is None:
-                run_cit(data, base)
-            else:
-                ecit(data, base, config)
-            elapsed.append(time.perf_counter() - t0)
-        rows.append((n, float(np.median(elapsed))))
-    return rows

@@ -18,7 +18,9 @@ CDF evaluation strategy
   alpha=0.5 & |beta|=1 (Levy);
 * for symmetric laws with alpha in (1, 2): a vectorized three-zone scheme
   (power series around the origin, a cached Chebyshev interpolant on the
-  mid band, asymptotic tail series), accurate to ~1e-12;
+  mid band, asymptotic tail series).  Where the band meets the tail
+  series the CDF jumps by less than 2e-14 on a grid of alpha in
+  [1.05, 1.99] with step 0.01, but by 1.5e-9 at alpha = 1.995;
 * everywhere else: adaptive quadrature of Nolan-style single-integral
   representations, point by point.
 

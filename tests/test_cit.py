@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.linalg import cho_factor, cho_solve
+from scipy.spatial.distance import pdist, squareform
 
 from citkit.cit import (
     CITestSpec,
@@ -132,6 +133,62 @@ class TestMedianHeuristic:
         rng = np.random.default_rng(3)
         pts = rng.standard_normal((5000, 2))
         assert median_heuristic(pts) == median_heuristic(pts)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 200, 201, 202, 1000, 1001, 2500])
+    def test_equals_numpy_median_of_distances_bit_for_bit(self, n):
+        # inputs rounded to one decimal, so that many distances tie; the
+        # reference is the two-order-statistic np.median of Euclidean pdist
+        rng = np.random.default_rng(n)
+        for d in (1, 3):
+            pts = np.round(rng.standard_normal((n, d)), 1)
+            if n > 1000:
+                ref_pts = pts[np.unique(np.linspace(0, n - 1, 1000).astype(int))]
+            else:
+                ref_pts = pts
+            ref = float(np.median(pdist(ref_pts)))
+            assert median_heuristic(pts).hex() == ref.hex()
+
+    @pytest.mark.parametrize("value, name", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")])
+    def test_non_finite_points_are_named(self, value, name):
+        pts = np.random.default_rng(4).standard_normal((50, 2))
+        pts[7, 1] = value
+        with pytest.raises(DataError, match=f"1 non-finite value\\(s\\): {name}$"):
+            median_heuristic(pts)
+
+    def test_overflowing_distances_raise(self):
+        with pytest.raises(DataError, match="overflows"):
+            median_heuristic(np.array([[0.0], [1e200], [2e200]]))
+
+    def test_non_finite_rows_thinned_away_still_raise(self):
+        pts = np.random.default_rng(5).standard_normal((2500, 1))
+        pts[1] = np.nan  # not among the 1000 evenly spaced rows
+        with pytest.raises(DataError, match="non-finite"):
+            median_heuristic(pts)
+
+
+class TestGaussianGram:
+    @staticmethod
+    def reference(block):
+        # the construction before the shared pdist: a bandwidth from
+        # np.median of Euclidean pdist, then the kernel on the square matrix
+        pts = block
+        if block.shape[0] > 1000:
+            pts = block[np.unique(np.linspace(0, block.shape[0] - 1, 1000).astype(int))]
+        sigma = 2.0 * float(np.median(pdist(pts)))
+        K = squareform(pdist(block, "sqeuclidean"))
+        np.negative(K, out=K)
+        K /= 2.0 * sigma * sigma
+        return np.exp(K, out=K)
+
+    @pytest.mark.parametrize("n", [8, 9, 200, 201, 1000, 1001, 1500])
+    def test_equals_square_matrix_construction_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for d in (1, 3):
+            block = np.round(rng.standard_normal((n, d)), 1)
+            K = _gaussian_gram(block)
+            assert K.dtype == np.float64 and K.flags.c_contiguous
+            assert np.array_equal(K, self.reference(block))
+            assert (K.diagonal() == 1.0).all()
 
 
 class TestGammaUpperP:

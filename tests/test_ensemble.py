@@ -7,12 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import citkit
 from citkit import bench, ensemble
 from citkit.bench import ExperimentConfig, MethodSpec, subtest_pvalue_sets
 from citkit.cit import CITestSpec, DataTriple, run_cit
 from citkit.datagen import PnlConfig, gen_pnl
 from citkit.ensemble import EnsembleConfig, ecit, partition
-from citkit.errors import DataError
+from citkit.errors import ConfigError, DataError
 
 
 def _force_workers(monkeypatch, workers):
@@ -171,3 +172,16 @@ class TestSubtestPvalueSets:
                                          seed=ensemble._subset_seed(seed, k))).p
                     for k, sub in enumerate(subs)]
             assert [p.hex() for p in ps] == [p.hex() for p in want]
+
+
+class TestRuntimeProfile:
+    def test_one_row_per_size(self):
+        rows = bench.runtime_profile(CITestSpec(method="fisherz"), None, [40, 80])
+        assert [n for n, _ in rows] == [40, 80]
+        assert all(t > 0.0 for _, t in rows)
+        assert citkit.runtime_profile is bench.runtime_profile
+
+    @pytest.mark.parametrize("sizes, repeats", [([80, 40], 5), ([40, 40], 5), ([40, 80], 4)])
+    def test_rejects_bad_arguments(self, sizes, repeats):
+        with pytest.raises(ConfigError):
+            bench.runtime_profile(CITestSpec(method="fisherz"), None, sizes, repeats=repeats)
