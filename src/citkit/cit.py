@@ -26,7 +26,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cython_lapack
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial._distance_wrap import to_squareform_from_vector_wrap
+from scipy.spatial.distance import pdist
 from scipy.special import gammaincc, ndtr
 
 from .errors import ConfigError, DataError, NumericalError
@@ -269,22 +270,55 @@ def _spd_inverse(a):
     return a
 
 
-def _gaussian_gram(block):
+def _gaussian_gram(block, out=None, scratch=None):
     """Gaussian Gram matrix of the rows of ``block``, from one ``pdist`` pass.
 
-    Up to 1000 rows the bandwidth comes from a copy of the same squared
-    distances; beyond that from the thinned rows of :func:`median_heuristic`.
-    The kernel is evaluated on the condensed vector, half the entries of the
-    matrix, and the diagonal is exp(-0.0) = 1.0.
+    The matrix is written into ``out``, a C-contiguous n x n float64 array,
+    and the condensed squared distances into the first n (n - 1) / 2 entries
+    of ``scratch``, a C-contiguous float64 array; the old contents of both
+    are ignored, and either one missing is allocated.  Up to 1000 rows the
+    bandwidth is selected from a copy of those distances, held in ``out``
+    until the matrix overwrites it; beyond that it comes from the thinned
+    rows of :func:`median_heuristic`.  The kernel is evaluated on the
+    condensed vector, half the entries of the matrix, and scattered into
+    ``out`` by the routine ``squareform`` runs after its ``np.zeros``; the
+    diagonal is exp(-0.0) = 1.0.
     """
-    sq = pdist(block, "sqeuclidean")
-    med = _median_distance(sq.copy()) if block.shape[0] <= _MEDIAN_ROWS else median_heuristic(block)
+    n = block.shape[0]
+    m = n * (n - 1) // 2
+    K = np.empty((n, n)) if out is None else out
+    sq = pdist(block, "sqeuclidean", out=None if scratch is None else scratch.reshape(-1)[:m])
+    if n <= _MEDIAN_ROWS:
+        copy = K.reshape(-1)[:m]
+        copy[:] = sq
+        med = _median_distance(copy)
+    else:
+        med = median_heuristic(block)
     sigma = _KCIT_BANDWIDTH_SCALE * med
     np.negative(sq, out=sq)
     sq /= 2.0 * sigma * sigma
-    K = squareform(np.exp(sq, out=sq))
+    to_squareform_from_vector_wrap(K, np.exp(sq, out=sq))
     np.fill_diagonal(K, 1.0)
     return K
+
+
+class _Workspace:
+    """Five n x n float64 buffers that one thread reuses across kcit calls.
+
+    :meth:`take` hands out C-contiguous n x n views of them, holding whatever
+    the last call left.  The storage grows to the largest n taken and lives
+    as long as the workspace: at n = 5000 that is 1 GB, so a thread drops its
+    workspace once its batch of subtests is done.
+    """
+
+    def __init__(self):
+        self._flat = ()
+
+    def take(self, n):
+        if not self._flat or self._flat[0].size < n * n:
+            self._flat = ()  # free the old storage before the new is allocated
+            self._flat = tuple(np.empty(n * n) for _ in range(5))
+        return tuple(f[:n * n].reshape(n, n) for f in self._flat)
 
 
 def _gamma_upper_p(stat, mean, var):
@@ -335,18 +369,28 @@ def fisher_z(data):
                        elapsed=time.perf_counter() - t0)
 
 
-def kcit(data, spec=None):
+def kcit(data, spec=None, *, _workspace=None):
     """Kernel CI test: trace statistic of z-regressed kernels, permutation-cumulant null.
 
     With d_z > 0 the regression on z is Rz = eps (Kz + eps I)^-1 with
     eps = ridge * n, from LAPACK's Cholesky factorization and inverse
     (:func:`_spd_inverse`).  Rz is exactly symmetric.
 
+    Memory: five n x n buffers, from ``_workspace`` (a :class:`_Workspace`)
+    or a fresh one.  Kz, then Rz, takes the first; A and B the next two; the
+    fourth holds each Gram's condensed distances and then the Rz K product;
+    the statistic's A * B goes into the dead Rz buffer; and the invariants'
+    M @ M, M * M and product buffer go into the Rz, fourth and fifth ones.
+    Outside the sampled permutation null nothing else n x n is allocated,
+    so a thread that reuses one workspace across calls does not fault fresh
+    pages in on every call.
+
     Threads: the ridge inverse, the products with Rz (BLAS) and numpy's
     n x n elementwise work run with the GIL released, so subtests on
     several threads overlap them.  What holds it is one scipy ``pdist`` and
-    one ``squareform`` per Gram matrix (the bandwidth selection reuses that
-    ``pdist``), the Python glue, the cumulant tables and the null tail.
+    one ``squareform`` scatter per Gram matrix (the bandwidth selection
+    reuses that ``pdist``), the Python glue, the cumulant tables and the
+    null tail.  A workspace must not be shared by two threads at once.
     """
     t0 = time.perf_counter()
     spec = spec or CITestSpec(method="kcit")
@@ -355,30 +399,29 @@ def kcit(data, spec=None):
         raise ConfigError(f"kcit is cubic in n; refusing n={n} > 5000 (use an ensemble)")
     x = _standardize(data.x, "x")
     y = _standardize(data.y, "y")
+    Rz, A, B, tmp, spare = (_workspace or _Workspace()).take(n)
     if dz:
-        # n x n buffers are overwritten in place and dropped once used, so
-        # that the peak stays at four of them while A and B are formed
         z = _standardize(data.z, "z")
-        Kz = _center(_gaussian_gram(z))
+        _center(_gaussian_gram(z, out=Rz, scratch=tmp))
         eps = spec.ridge * n
-        Kz.flat[::n + 1] += eps
-        Rz = _spd_inverse(Kz)
+        Rz.flat[::n + 1] += eps
+        _spd_inverse(Rz)
         Rz *= eps
-        Kx = _center(_gaussian_gram(np.hstack([x, z])))
-        A = np.matmul(Rz @ Kx, Rz, out=Kx)
-        Ky = _center(_gaussian_gram(y))
-        B = np.matmul(Rz @ Ky, Rz, out=Ky)
-        del Rz
+        for K, block in ((A, np.hstack([x, z])), (B, y)):
+            _center(_gaussian_gram(block, out=K, scratch=tmp))
+            np.matmul(np.matmul(Rz, K, out=tmp), Rz, out=K)
     else:
-        A = _center(_gaussian_gram(x))
-        B = _center(_gaussian_gram(y))
+        _center(_gaussian_gram(x, out=A, scratch=tmp))
+        _center(_gaussian_gram(y, out=B, scratch=tmp))
 
-    stat = float((A * B).sum())
+    stat = float(np.multiply(A, B, out=Rz).sum())
     if spec.permutations > 0:
         p = _permutation_p(A, B, spec.permutations, spec.seed)
         flags = ("permutation_null",)
     else:
-        cums = permutation_cumulants(dense_invariants(A), dense_invariants(B), n)
+        scratch = (Rz, tmp, spare)
+        cums = permutation_cumulants(dense_invariants(A, _scratch=scratch),
+                                     dense_invariants(B, _scratch=scratch), n)
         p = trace_null_sf(stat, cums)
         flags = ()
         if p is None:
@@ -475,12 +518,15 @@ def rcit(data, spec=None):
                        elapsed=time.perf_counter() - t0, flags=flags)
 
 
-def run_cit(data, spec):
-    """Dispatch to the test named by spec.method."""
+def run_cit(data, spec, *, _workspace=None):
+    """Dispatch to the test named by spec.method.
+
+    ``_workspace`` is handed to :func:`kcit` and ignored by the other tests.
+    """
     if spec.method == "fisherz":
         return fisher_z(data)
     if spec.method == "kcit":
-        return kcit(data, spec)
+        return kcit(data, spec, _workspace=_workspace)
     return rcit(data, spec)
 
 

@@ -26,13 +26,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SkeletonGraph:
-    """Undirected graph: symmetric boolean adjacency, no self-loops."""
+    """Undirected graph: symmetric boolean adjacency, no self-loops.
+
+    Two graphs are equal when ``d`` and the adjacency are; the sepsets take
+    no part.
+    """
 
     d: int
     adjacency: np.ndarray
-    sepsets: dict = field(default_factory=dict, compare=False)
+    sepsets: dict = field(default_factory=dict)
 
     def __post_init__(self):
         adj = np.asarray(self.adjacency, dtype=bool)
@@ -43,6 +47,11 @@ class SkeletonGraph:
         if not (adj == adj.T).all():
             raise ConfigError("adjacency must be symmetric")
         object.__setattr__(self, "adjacency", adj)
+
+    def __eq__(self, other):
+        if not isinstance(other, SkeletonGraph):
+            return NotImplemented
+        return self.d == other.d and np.array_equal(self.adjacency, other.adjacency)
 
     @classmethod
     def from_edges(cls, d: int, edges) -> "SkeletonGraph":

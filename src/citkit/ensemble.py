@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cit import CITestSpec, DataTriple, TestOutcome, run_cit, with_seed
+from .cit import CITestSpec, DataTriple, TestOutcome, _Workspace, run_cit, with_seed
 from .combine import clamp_pvalues, combine_stable
 from .errors import CitkitError, ConfigError
 from .stable import StableParams
@@ -130,7 +130,8 @@ def _run_subtests(subsets, specs, workers: int) -> list[TestOutcome]:
     in ascending order from one shared counter.  After a failure no new index
     is drawn; once the running subtests end, the error of the lowest failing
     index is raised.  Every lower index was drawn before it, so that is the
-    error a serial run would raise.
+    error a serial run would raise.  Each drawing thread hands its own kcit
+    workspace to all of its subtests and drops it when it stops drawing.
     """
     K = len(subsets)
     results: list = [None] * K
@@ -140,6 +141,7 @@ def _run_subtests(subsets, specs, workers: int) -> list[TestOutcome]:
 
     def drain():
         nonlocal next_index, stop
+        workspace = _Workspace()
         while True:
             with lock:
                 if stop or next_index == K:
@@ -147,7 +149,7 @@ def _run_subtests(subsets, specs, workers: int) -> list[TestOutcome]:
                 k = next_index
                 next_index += 1
             try:
-                results[k] = run_cit(subsets[k], specs[k])
+                results[k] = run_cit(subsets[k], specs[k], _workspace=workspace)
             except Exception as exc:  # kept, and raised in index order below
                 results[k] = exc
                 with lock:
@@ -220,7 +222,9 @@ def ecit(data: DataTriple, base: CITestSpec, config: EnsembleConfig) -> TestOutc
     subset index, so ``p`` and ``subtest_ps`` are the same for any number of
     threads.  To run on one core, pin the affinity mask to one core or leave
     BLAS unpinned.  The threads overlap only where the base test releases
-    the GIL; see :func:`citkit.cit.kcit` for which of its steps do.  The
+    the GIL; see :func:`citkit.cit.kcit` for which of its steps do.  Each
+    thread reuses one kcit workspace, five n_k x n_k float64 buffers, for
+    every subset it draws, and drops it when this call returns.  The
     combination runs on the calling thread once every subtest is done, and
     holds the GIL: a fraction of a millisecond for K up to about 10.
 

@@ -66,18 +66,21 @@ _INVARIANT_NAMES = (
 _ROW_BLOCK = 64
 
 
-def dense_invariants(M):
+def dense_invariants(M, _scratch=None):
     """All invariants of a symmetric matrix needed by the moment tables.
 
     One matrix product is required; everything else is elementwise.  The
-    five entrywise products share one n x n buffer.
+    five entrywise products share one n x n buffer.  ``_scratch`` may hold
+    three C-contiguous n x n float64 arrays, other than ``M``, that receive
+    M @ M, M * M and that shared buffer; without it they are allocated.
     """
+    m2, mm, buf = _scratch or (None, None, None)
     dg = np.diagonal(M)
-    M2 = M @ M
-    MM = M * M
+    M2 = np.matmul(M, M, out=m2)
+    MM = np.multiply(M, M, out=mm)
     rowsq = MM.sum(axis=1)
     dg2 = dg * dg
-    buf = np.multiply(MM, M)
+    buf = np.multiply(MM, M, out=buf)
     e3, le3 = float(buf.sum()), float(dg @ buf.sum(axis=1))
     e4 = float(np.multiply(MM, MM, out=buf).sum())
     np.multiply(M2, M, out=buf)

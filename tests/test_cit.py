@@ -8,6 +8,7 @@ every rate below is a frozen, reproducible number.
 """
 
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -22,6 +23,7 @@ from citkit.cit import (
     _gamma_upper_p,
     _gaussian_gram,
     _spd_inverse,
+    _Workspace,
     DataTriple,
     fisher_z,
     kcit,
@@ -183,12 +185,18 @@ class TestGaussianGram:
     @pytest.mark.parametrize("n", [8, 9, 200, 201, 1000, 1001, 1500])
     def test_equals_square_matrix_construction_bit_for_bit(self, n):
         rng = np.random.default_rng(n)
+        out, scratch = np.full((n, n), np.nan), np.full((n, n), np.nan)
         for d in (1, 3):
             block = np.round(rng.standard_normal((n, d)), 1)
+            ref = self.reference(block)
             K = _gaussian_gram(block)
             assert K.dtype == np.float64 and K.flags.c_contiguous
-            assert np.array_equal(K, self.reference(block))
+            assert np.array_equal(K, ref)
             assert (K.diagonal() == 1.0).all()
+            # into buffers a reused workspace hands out: NaN-filled on the
+            # first pass, then holding the previous pass's Gram and distances
+            assert _gaussian_gram(block, out=out, scratch=scratch) is out
+            assert np.array_equal(out, ref)
 
 
 class TestGammaUpperP:
@@ -301,6 +309,30 @@ class TestKcit:
         y = x + 0.3 * rng.standard_normal((200, 1))
         out = kcit(DataTriple(x, y, None), CITestSpec(method="kcit"))
         assert out.p < 0.01  # strong marginal dependence
+
+    def test_warm_workspace_allocates_less_than_one_n_by_n_array(self):
+        data = gen_pnl(PnlConfig(hypothesis="H0", n=400, d_z=3, seed=3))
+        workspace = _Workspace()
+        kcit(data, _workspace=workspace)
+        tracemalloc.start()
+        try:
+            kcit(data, _workspace=workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400 * 400 * 8
+
+    def test_reused_workspace_equals_fresh_one(self):
+        # the storage grows, then serves smaller n from its stale contents
+        workspace = _Workspace()
+        for n, d_z, hypothesis in ((300, 3, "H1"), (400, 0, "H1"), (200, 1, "H0"),
+                                   (400, 3, "H0"), (300, 0, "H0"), (50, 2, "H1")):
+            data = gen_pnl(PnlConfig(hypothesis=hypothesis, n=n, d_z=max(d_z, 1), seed=n + d_z))
+            if not d_z:
+                data = DataTriple(data.x, data.y, None)
+            got, want = kcit(data, _workspace=workspace), kcit(data)
+            assert (got.p.hex(), got.statistic.hex(), got.flags) == \
+                (want.p.hex(), want.statistic.hex(), want.flags)
 
 
 def _ridge_matrix(n, d_z, seed):

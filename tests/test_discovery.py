@@ -87,6 +87,10 @@ class TestOraclePC:
                           on_query=lambda i, j, S, p: queries.append(p))
         truth = skeleton_of_graph(graph)
         assert est.edges() == truth.edges()
+        assert est == truth and not est != truth
+        one_off = truth.adjacency.copy()
+        one_off[0, 1] = one_off[1, 0] = not one_off[0, 1]
+        assert est != SkeletonGraph(d=d, adjacency=one_off)
         assert skeleton_metrics(est, truth) == (1.0, 1.0, 1.0, 0)
         assert set(queries) <= {0.0, 1.0}
 

@@ -10,7 +10,7 @@ import pytest
 import citkit
 from citkit import bench, ensemble
 from citkit.bench import ExperimentConfig, MethodSpec, subtest_pvalue_sets
-from citkit.cit import CITestSpec, DataTriple, run_cit
+from citkit.cit import CITestSpec, DataTriple, run_cit, with_seed
 from citkit.datagen import PnlConfig, gen_pnl
 from citkit.ensemble import EnsembleConfig, ecit, partition
 from citkit.errors import ConfigError, DataError
@@ -79,6 +79,24 @@ class TestPool:
         for run in runs:
             assert run.subtest_ps == serial.subtest_ps
             assert run.p == serial.p
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("d_z", [0, 2])
+    def test_reused_workspaces_match_standalone_kcit(self, monkeypatch, d_z, workers):
+        # each draining thread reuses one workspace; merge_last makes the
+        # last subset larger, so a workspace grows between its subtests
+        data = gen_pnl(PnlConfig(hypothesis="H1", n=1000, d_z=max(d_z, 1), seed=21))
+        if not d_z:
+            data = DataTriple(data.x, data.y, None)
+        spec = CITestSpec(method="kcit")
+        config = EnsembleConfig(n_k=300, seed=4, remainder_policy="merge_last")
+        _force_workers(monkeypatch, workers)
+        out = ecit(data, spec, config)
+        subsets = partition(data, config)
+        assert [s.n for s in subsets] == [300, 300, 400]
+        want = [run_cit(s, with_seed(spec, ensemble._subset_seed(4, k))).p
+                for k, s in enumerate(subsets)]
+        assert [p.hex() for p in out.subtest_ps] == [p.hex() for p in want]
 
 
 class TestWorkerRule:
@@ -152,6 +170,23 @@ class TestSingleSubset:
         out = ecit(data, spec, EnsembleConfig(K=1, partition_policy="sequential"))
         assert out.subtest_ps == (base.p,)
         assert out.p == pytest.approx(base.p, abs=1e-8)
+
+
+class TestTypeOneRateForAnyK:
+    # Pooling K subset p-values keeps the base test's level, for any K.  The
+    # base test must hold its level first: fisherz is linear, so f_X and f_Y
+    # are fixed to the identity (drawn at random, it rejects about 16 % of
+    # these H0 samples already at K = 1).  Window as for the base tests.
+    @pytest.mark.parametrize("K", [1, 2, 5, 10])
+    def test_fisherz_ensemble_window(self, K):
+        hits = 0
+        for rep in range(1000):
+            seed = int(np.random.SeedSequence((70, 2000, K, rep)).generate_state(1, np.uint64)[0])
+            data = gen_pnl(PnlConfig(hypothesis="H0", n=2000, fx="identity", fy="identity",
+                                     seed=seed))
+            out = ecit(data, CITestSpec(method="fisherz"), EnsembleConfig(K=K, seed=seed))
+            hits += out.p <= 0.05
+        assert 0.02 <= hits / 1000 <= 0.09
 
 
 class TestSubtestPvalueSets:

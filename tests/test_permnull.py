@@ -96,6 +96,17 @@ class TestPermutationCumulants:
             permutation_cumulants(inv, inv, 7)
 
 
+class TestDenseInvariants:
+    @pytest.mark.parametrize("n", [8, 65, 300])
+    def test_scratch_buffers_change_nothing(self, n):
+        M = _centered_gram(np.random.default_rng(n).standard_normal((n, 2)))
+        want = {name: value.hex() for name, value in dense_invariants(M).items()}
+        scratch = tuple(np.full((n, n), np.nan) for _ in range(3))
+        for _ in range(2):  # NaN-filled buffers, then the ones the first pass left
+            got = dense_invariants(M, _scratch=scratch)
+            assert {name: value.hex() for name, value in got.items()} == want
+
+
 class TestFeatureInvariants:
     # n below, on and across one and two row blocks of the triangle sweep
     @pytest.mark.parametrize("k", [5, 100])
