@@ -48,7 +48,6 @@ from .discovery import (
     SkeletonGraph,
     make_cit_tester,
     make_dsep_oracle,
-    make_ensemble_tester,
     pc_skeleton,
     skeleton_metrics,
     skeleton_of_graph,
@@ -106,7 +105,6 @@ __all__ = [
     "SkeletonGraph",
     "make_cit_tester",
     "make_dsep_oracle",
-    "make_ensemble_tester",
     "pc_skeleton",
     "skeleton_metrics",
     "skeleton_of_graph",

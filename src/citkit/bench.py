@@ -22,8 +22,8 @@ from . import __version__
 from .cit import CITestSpec, DataTriple, run_cit
 from .combine import CLASSICAL_METHODS, clamp_pvalues, combine_classical, combine_stable
 from .datagen import PnlConfig, gen_pnl, gen_random_dag, simulate_scm
-from .discovery import (make_cit_tester, make_dsep_oracle, make_ensemble_tester,
-                        pc_skeleton, skeleton_metrics, skeleton_of_graph)
+from .discovery import (make_cit_tester, make_dsep_oracle, pc_skeleton, skeleton_metrics,
+                        skeleton_of_graph)
 from .ensemble import EnsembleConfig, ecit
 from .errors import CitkitError, ConfigError, DataError
 from .stable import StableParams
@@ -252,25 +252,48 @@ def subtest_pvalue_sets(config: ExperimentConfig, hypothesis: str, ms: MethodSpe
     return _map_replicates(config, one)
 
 
-def _alpha_rows(config: ExperimentConfig):
+def _pooled_rows(config: ExperimentConfig, variants):
+    """Type-I rate and power of each way of pooling an ensemble's subtest p-values.
+
+    ``variants(config, ms)`` lists (label, pool) pairs, where ``pool`` maps the
+    clamped p-values of one ``ecit`` run to a combined p.  Every variant pools
+    the same subtest p-values, from :func:`subtest_pvalue_sets`, clamped as
+    :func:`~citkit.ensemble.ecit` clamps them.
+    """
     ms = config.methods[0] if config.methods else MethodSpec(
         label="ekcit", method="kcit", ensemble=EnsembleConfig(n_k=400))
     if ms.ensemble is None:
-        raise ConfigError("alpha_ablation compares ensemble variants; give the method an nk or K")
+        raise ConfigError(f"{config.kind} compares ways to pool ensemble subtests; "
+                          "give the method an nk or K")
+    variants = variants(config, ms)
     rows = []
     for gi, point in enumerate(config.grid_points()):
         for hypothesis, metric in (("H0", "type1_rate"), ("H1", "power")):
             sets = subtest_pvalue_sets(config, hypothesis, ms, point, gi)
-            for alpha in config.alphas:
-                params = StableParams(float(alpha), 0.0, 1.0, 0.0)
+            for label, pool in variants:
                 t0 = time.perf_counter()
-                rej = [combine_stable(clamp_pvalues(ps, epsilon=ms.ensemble.epsilon),
-                                      params).p_combined <= config.level for ps in sets]
+                rej = [pool(clamp_pvalues(ps, epsilon=ms.ensemble.epsilon)) <= config.level
+                       for ps in sets]
                 dt = (time.perf_counter() - t0) / max(len(sets), 1)
                 rate = float(np.mean(rej))
-                rows.append(ReportRow(_fingerprint(point), f"{ms.label}@alpha={alpha:g}",
-                                      metric, rate, _binomial_se(rate, len(rej)), 1000.0 * dt))
+                rows.append(ReportRow(_fingerprint(point), label, metric, rate,
+                                      _binomial_se(rate, len(rej)), 1000.0 * dt))
     return rows
+
+
+def _stable_pool(params: StableParams):
+    return lambda clamped: combine_stable(clamped, params).p_combined
+
+
+def _alpha_variants(config: ExperimentConfig, ms: MethodSpec):
+    return [(f"{ms.label}@alpha={alpha:g}", _stable_pool(StableParams(float(alpha), 0.0, 1.0, 0.0)))
+            for alpha in config.alphas]
+
+
+def _combiner_variants(config: ExperimentConfig, ms: MethodSpec):
+    classical = [(name, lambda clamped, name=name: combine_classical(name, clamped).p_combined)
+                 for name in CLASSICAL_METHODS if name != "liptak"]
+    return [("ours", _stable_pool(ms.ensemble.params))] + classical
 
 
 def _nk_rows(config: ExperimentConfig):
@@ -288,33 +311,6 @@ def _nk_rows(config: ExperimentConfig):
                           options=base_ms.options)
         sub = replace(config, methods=(orig,))
         rows.extend(_rate_rows(sub, "H1", "power"))
-    return rows
-
-
-def _combiner_rows(config: ExperimentConfig):
-    ms = config.methods[0] if config.methods else MethodSpec(
-        label="ekcit", method="kcit", ensemble=EnsembleConfig(n_k=400))
-    if ms.ensemble is None:
-        raise ConfigError("combiner_compare needs an ensemble method (set nk or K)")
-    combiners = ("ours",) + tuple(m for m in CLASSICAL_METHODS if m != "liptak")
-    rows = []
-    for gi, point in enumerate(config.grid_points()):
-        for hypothesis, metric in (("H0", "type1_rate"), ("H1", "power")):
-            sets = subtest_pvalue_sets(config, hypothesis, ms, point, gi)
-            for name in combiners:
-                rej = []
-                t0 = time.perf_counter()
-                for ps in sets:
-                    clamped = clamp_pvalues(ps, epsilon=ms.ensemble.epsilon)
-                    if name == "ours":
-                        p = combine_stable(clamped, ms.ensemble.params).p_combined
-                    else:
-                        p = combine_classical(name, clamped).p_combined
-                    rej.append(p <= config.level)
-                dt = (time.perf_counter() - t0) / max(len(sets), 1)
-                rate = float(np.mean(rej))
-                rows.append(ReportRow(_fingerprint(point), name, metric, rate,
-                                      _binomial_se(rate, len(rej)), 1000.0 * dt))
     return rows
 
 
@@ -336,12 +332,9 @@ def _pc_rows(config: ExperimentConfig):
                 if ms.method == "oracle":
                     tester = make_dsep_oracle(graph)
                     max_cond = d - 2
-                elif ms.ensemble is not None:
-                    tester = make_ensemble_tester(scm.values, ms.base_spec(seed),
-                                                  replace(ms.ensemble, seed=seed))
-                    max_cond = config.max_cond
                 else:
-                    tester = make_cit_tester(scm.values, ms.base_spec(seed))
+                    ens = None if ms.ensemble is None else replace(ms.ensemble, seed=seed)
+                    tester = make_cit_tester(scm.values, ms.base_spec(seed), ens)
                     max_cond = config.max_cond
                 est = pc_skeleton(scm.values if ms.method != "oracle" else None,
                                   tester, level=config.level, max_cond=max_cond,
@@ -360,9 +353,9 @@ def run_experiment(config: ExperimentConfig) -> MetricsReport:
         "type1": lambda: _rate_rows(config, "H0", "type1_rate"),
         "power": lambda: _rate_rows(config, "H1", "power"),
         "runtime": lambda: _runtime_rows(config),
-        "alpha_ablation": lambda: _alpha_rows(config),
+        "alpha_ablation": lambda: _pooled_rows(config, _alpha_variants),
         "nk_ablation": lambda: _nk_rows(config),
-        "combiner_compare": lambda: _combiner_rows(config),
+        "combiner_compare": lambda: _pooled_rows(config, _combiner_variants),
         "pc_bench": lambda: _pc_rows(config),
     }
     rows = handlers[config.kind]()

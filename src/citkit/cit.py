@@ -13,25 +13,27 @@ Conventions shared by the kernel tests:
   factors are fixed per test; see the constants below);
 * the X-side kernel acts on the concatenation (x, z), following the original
   kernel-CI construction — without the augmentation the null is miscalibrated;
-* the analytic null of the trace statistic is the normal-gamma convolution of
-  :mod:`citkit.permnull`, matched to the exact first four cumulants of the
-  statistic under random permutation; a sampled permutation null is available
-  for validation (``permutations > 0``).
+* both tests are calibrated by :mod:`citkit.permnull`: by default on the
+  analytic null of the trace statistic (:func:`~citkit.permnull.analytic_null_p`,
+  a normal-gamma convolution matched to the exact first four cumulants of the
+  statistic under random permutation, with a flagged two-moment gamma
+  fallback), or with ``permutations > 0`` on a sampled permutation null for
+  validation (:func:`~citkit.permnull.sampled_null_p`).
 """
 
 import ctypes
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cython_lapack
 from scipy.spatial._distance_wrap import to_squareform_from_vector_wrap
 from scipy.spatial.distance import pdist
-from scipy.special import gammaincc, ndtr
+from scipy.special import ndtr
 
 from .errors import ConfigError, DataError, NumericalError
-from .permnull import dense_invariants, feature_invariants, permutation_cumulants, trace_null_sf
+from .permnull import analytic_null_p, dense_invariants, feature_invariants, sampled_null_p
 
 __all__ = [
     "CITestSpec",
@@ -321,16 +323,6 @@ class _Workspace:
         return tuple(f[:n * n].reshape(n, n) for f in self._flat)
 
 
-def _gamma_upper_p(stat, mean, var):
-    if not (np.isfinite(mean) and np.isfinite(var)) or mean <= 0 or var <= 0:
-        raise DataError("degenerate null moments; cannot calibrate the gamma approximation")
-    shape = mean * mean / var
-    scale = var / mean
-    if stat <= 0:
-        return 1.0
-    return float(gammaincc(shape, stat / scale))
-
-
 def fisher_z(data):
     """Partial-correlation test via the Fisher z-transform.
 
@@ -416,30 +408,14 @@ def kcit(data, spec=None, *, _workspace=None):
 
     stat = float(np.multiply(A, B, out=Rz).sum())
     if spec.permutations > 0:
-        p = _permutation_p(A, B, spec.permutations, spec.seed)
-        flags = ("permutation_null",)
+        p, flags = sampled_null_p(stat, lambda perm: (A[np.ix_(perm, perm)] * B).sum(),
+                                  n, spec.permutations, spec.seed)
     else:
         scratch = (Rz, tmp, spare)
-        cums = permutation_cumulants(dense_invariants(A, _scratch=scratch),
-                                     dense_invariants(B, _scratch=scratch), n)
-        p = trace_null_sf(stat, cums)
-        flags = ()
-        if p is None:
-            p = _gamma_upper_p(stat, cums[0], cums[1])
-            flags = ("moment_fallback",)
+        p, flags = analytic_null_p(stat, dense_invariants(A, _scratch=scratch),
+                                   dense_invariants(B, _scratch=scratch), n)
     return TestOutcome(p=p, statistic=stat, method="kcit", n_used=n,
                        elapsed=time.perf_counter() - t0, flags=flags)
-
-
-def _permutation_p(A, B, n_perm, seed):
-    rng = np.random.default_rng(seed)
-    n = A.shape[0]
-    stat = (A * B).sum()
-    hits = 0
-    for _ in range(n_perm):
-        perm = rng.permutation(n)
-        hits += (A[np.ix_(perm, perm)] * B).sum() >= stat
-    return float((1 + hits) / (n_perm + 1))
 
 
 def _rff(block, n_features, sigma, rng):
@@ -495,25 +471,16 @@ def rcit(data, spec=None):
     cross = ex.T @ ey / n
     stat = float(n * (cross * cross).sum())
     if spec.permutations > 0:
-        rng_p = np.random.default_rng(spec.seed + 1)
-        hits = 0
-        for _ in range(spec.permutations):
-            perm = rng_p.permutation(n)
+        def permuted(perm):
             c = ex.T @ ey[perm] / n
-            hits += n * (c * c).sum() >= stat
-        p = float((1 + hits) / (spec.permutations + 1))
-        flags = ("permutation_null",)
+            return n * (c * c).sum()
+        p, flags = sampled_null_p(stat, permuted, n, spec.permutations, spec.seed + 1)
     else:
         # the reported statistic is tr(A B) / n for the outer-product kernels
         # A = ex ex', B = ey ey'; calibrate on the unscaled trace
         inv_x = feature_invariants(ex)
         del ex
-        cums = permutation_cumulants(inv_x, feature_invariants(ey), n)
-        p = trace_null_sf(n * stat, cums)
-        flags = ()
-        if p is None:
-            p = _gamma_upper_p(n * stat, cums[0], cums[1])
-            flags = ("moment_fallback",)
+        p, flags = analytic_null_p(n * stat, inv_x, feature_invariants(ey), n)
     return TestOutcome(p=p, statistic=stat, method="rcit", n_used=n,
                        elapsed=time.perf_counter() - t0, flags=flags)
 
@@ -528,8 +495,3 @@ def run_cit(data, spec, *, _workspace=None):
     if spec.method == "kcit":
         return kcit(data, spec, _workspace=_workspace)
     return rcit(data, spec)
-
-
-def with_seed(spec, seed):
-    """Copy of spec with a new seed (convenience for ensembles)."""
-    return replace(spec, seed=seed)

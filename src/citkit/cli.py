@@ -20,7 +20,7 @@ from .bench import (ExperimentConfig, build_experiment, emit_report, load_csv,
 from .cit import CITestSpec, run_cit
 from .combine import CLASSICAL_METHODS, clamp_pvalues, combine_classical, combine_stable
 from .datagen import PnlConfig, gen_pnl, gen_random_dag, simulate_scm
-from .discovery import make_cit_tester, make_ensemble_tester, pc_skeleton
+from .discovery import make_cit_tester, pc_skeleton
 from .ensemble import EnsembleConfig, ecit
 from .errors import CitkitError, ConfigError
 from .stable import StableParams, stable_cdf, stable_quantile, stable_sample
@@ -312,13 +312,9 @@ def _cmd_bench(args):
 
 def _cmd_pc(args):
     matrix, names = load_csv(args.data)
-    spec = CITestSpec(method=args.method, seed=args.seed)
-    if args.nk is not None:
-        cfg = EnsembleConfig(n_k=args.nk, seed=args.seed,
-                             params=StableParams(args.stable_alpha, 0.0, 1.0, 0.0))
-        tester = make_ensemble_tester(matrix, spec, cfg)
-    else:
-        tester = make_cit_tester(matrix, spec)
+    cfg = None if args.nk is None else EnsembleConfig(
+        n_k=args.nk, seed=args.seed, params=StableParams(args.stable_alpha, 0.0, 1.0, 0.0))
+    tester = make_cit_tester(matrix, CITestSpec(method=args.method, seed=args.seed), cfg)
     graph = pc_skeleton(matrix, tester, level=args.level, max_cond=args.max_cond)
     edges = [(names[i], names[j]) for i, j in graph.edges()]
     if args.format == "json":

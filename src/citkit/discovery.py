@@ -15,13 +15,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .cit import CITestSpec, DataTriple, run_cit
+from . import ensemble
+from .cit import CITestSpec, DataTriple, _Workspace, run_cit
 from .errors import CitkitError, ConfigError
 from .datagen import GraphSpec
 
 __all__ = [
     "SkeletonGraph", "pc_skeleton", "skeleton_metrics",
-    "make_cit_tester", "make_ensemble_tester", "make_dsep_oracle",
+    "make_cit_tester", "make_dsep_oracle",
     "skeleton_of_graph",
 ]
 
@@ -153,26 +154,25 @@ def skeleton_metrics(estimated: SkeletonGraph, truth: SkeletonGraph):
 # testers
 # ---------------------------------------------------------------------------
 
-def make_cit_tester(data, spec: CITestSpec):
-    """Wrap a column matrix and a test spec into an index-based CI tester."""
+def make_cit_tester(data, spec: CITestSpec, config=None):
+    """Index-based CI tester on the columns of ``data``.
+
+    With ``config=None`` each query runs the base test ``spec`` on all rows;
+    with an :class:`~citkit.ensemble.EnsembleConfig` it runs
+    ``ensemble.ecit(..., spec, config)``, looked up at call time.  A plain
+    tester hands one kcit workspace, five n x n float64 buffers that live as
+    long as the tester, to every query, so a warm query allocates no n x n
+    array; the ensemble keeps its own per-thread workspaces.  The tester
+    must not be called from two threads at once.
+    """
     data = np.asarray(data, dtype=float)
+    workspace = _Workspace() if config is None else None
 
     def tester(i, j, S):
         triple = DataTriple(data[:, [i]], data[:, [j]], data[:, list(S)])
-        return run_cit(triple, spec).p
-
-    return tester
-
-
-def make_ensemble_tester(data, base: CITestSpec, config):
-    """Index-based tester running the divide-and-aggregate pipeline."""
-    from .ensemble import ecit  # local import to keep module graphs acyclic
-
-    data = np.asarray(data, dtype=float)
-
-    def tester(i, j, S):
-        triple = DataTriple(data[:, [i]], data[:, [j]], data[:, list(S)])
-        return ecit(triple, base, config).p
+        if config is None:
+            return run_cit(triple, spec, _workspace=workspace).p
+        return ensemble.ecit(triple, spec, config).p
 
     return tester
 
@@ -186,19 +186,9 @@ def make_dsep_oracle(graph: GraphSpec):
     """
     parents = {j: set(graph.parents(j)) for j in range(graph.d)}
 
-    def ancestors_of(nodes):
-        out = set(nodes)
-        stack = list(nodes)
-        while stack:
-            v = stack.pop()
-            for p in parents[v]:
-                if p not in out:
-                    out.add(p)
-                    stack.append(p)
-        return out
-
     def tester(i, j, S):
-        keep = ancestors_of({i, j, *S})
+        nodes = {i, j, *S}
+        keep = nodes.union(*(graph.ancestors(v) for v in nodes))
         # moralize: undirected edges parent-child plus marry co-parents
         undirected = {v: set() for v in keep}
         for child in keep:

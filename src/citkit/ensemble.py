@@ -14,11 +14,11 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cit import CITestSpec, DataTriple, TestOutcome, _Workspace, run_cit, with_seed
+from .cit import CITestSpec, DataTriple, TestOutcome, _Workspace, run_cit
 from .combine import clamp_pvalues, combine_stable
 from .errors import CitkitError, ConfigError
 from .stable import StableParams
@@ -235,7 +235,7 @@ def ecit(data: DataTriple, base: CITestSpec, config: EnsembleConfig) -> TestOutc
     """
     t0 = time.perf_counter()
     subsets = partition(data, config)
-    specs = [with_seed(base, _subset_seed(config.seed, k)) for k in range(len(subsets))]
+    specs = [replace(base, seed=_subset_seed(config.seed, k)) for k in range(len(subsets))]
     outcomes = _run_subtests(subsets, specs, _subtest_workers(len(subsets)))
 
     raw_ps = tuple(o.p for o in outcomes)

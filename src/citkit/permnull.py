@@ -25,7 +25,13 @@ is matched as well.  When that split degenerates (the cumulants of a rank
 deficient statistic can sit exactly on the pure-gamma manifold), ``v`` falls
 back to the exact variance of the diagonal linear part, which is the
 correct normal component in the decomposition above.  The survival function
-is evaluated by Gauss-Hermite quadrature.
+is evaluated by Gauss-Hermite quadrature.  Cumulants that no such
+convolution can match (a third cumulant that is not positive) fall back to
+a gamma matched to the first two, flagged ``moment_fallback``.
+
+Both kernel tests end in the same two calibrations from here:
+:func:`analytic_null_p` on their invariants, or with ``permutations > 0``
+:func:`sampled_null_p` on their permuted statistic.
 
 The four moment tables are compiled once, at import, into a coefficient
 vector, a monomial index matrix into one packed vector of invariants, and the
@@ -42,12 +48,14 @@ import numpy as np
 from scipy.special import gammaincc
 
 from ._moment_tables import T1, T2, T3, T4
+from .errors import DataError
 
 __all__ = [
+    "analytic_null_p",
     "dense_invariants",
     "feature_invariants",
     "permutation_cumulants",
-    "trace_null_sf",
+    "sampled_null_p",
 ]
 
 # quadrature for the normal-gamma convolution; 81 nodes keeps the absolute
@@ -245,15 +253,22 @@ def permutation_cumulants(inv_a, inv_b, n):
     return e1, k2, k3, k4, v_lin
 
 
-def trace_null_sf(stat, cumulants):
-    """Upper tail probability of the normal-gamma convolution null.
+def analytic_null_p(stat, inv_a, inv_b, n):
+    """Upper tail p of ``stat`` under the permutation null of tr(A_pi B), and its flags.
 
-    Returns None when the cumulants are too degenerate to calibrate (the
-    caller falls back to a plain two-moment gamma).
+    ``inv_a`` and ``inv_b`` are the invariants of A and B, dense
+    (:func:`dense_invariants`) or feature-space (:func:`feature_invariants`).
+    The null is the normal-gamma convolution of the module docstring, matched
+    to the exact cumulants, and the flags are ``()``.  When the cumulants are
+    too degenerate for it (non-finite, or k2 or k3 not positive), a plain
+    gamma matched to k1 and k2 is used instead, flagged
+    ``("moment_fallback",)``; a k1 or k2 that is not positive raises
+    ``DataError`` there.
     """
+    cumulants = permutation_cumulants(inv_a, inv_b, n)
     k1, k2, k3, k4, v_lin = cumulants
     if not all(np.isfinite(c) for c in cumulants) or k2 <= 0.0 or k3 <= 0.0:
-        return None
+        return _gamma_upper_p(stat, k1, k2), ("moment_fallback",)
     v_norm = k2 - 1.5 * k3 * k3 / k4 if k4 > 0.0 else 0.0
     v_norm = min(max(v_norm, v_lin, 0.0), 0.999 * k2)
     v_gamma = k2 - v_norm
@@ -263,4 +278,29 @@ def trace_null_sf(stat, cumulants):
     shifted = stat - k1 - np.sqrt(v_norm) * _NODES
     arg = shifted / scale + shape
     tails = np.where(arg <= 0.0, 1.0, gammaincc(shape, np.maximum(arg, 1e-300)))
-    return float(np.clip((_WEIGHTS * tails).sum(), 0.0, 1.0))
+    return float(np.clip((_WEIGHTS * tails).sum(), 0.0, 1.0)), ()
+
+
+def _gamma_upper_p(stat, mean, var):
+    if not (np.isfinite(mean) and np.isfinite(var)) or mean <= 0 or var <= 0:
+        raise DataError("degenerate null moments; cannot calibrate the gamma approximation")
+    shape = mean * mean / var
+    scale = var / mean
+    if stat <= 0:
+        return 1.0
+    return float(gammaincc(shape, stat / scale))
+
+
+def sampled_null_p(stat, permuted_stat, n, permutations, seed):
+    """Sampled permutation p of ``stat``, flagged ``("permutation_null",)``.
+
+    ``permuted_stat(perm)`` is the statistic with one side's rows permuted by
+    ``perm``; ``permutations`` of them are drawn from ``default_rng(seed)``.
+    p = (1 + hits) / (permutations + 1), where a hit is a permuted statistic
+    at least ``stat``, so p is never below 1 / (permutations + 1).
+    """
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for _ in range(permutations):
+        hits += permuted_stat(rng.permutation(n)) >= stat
+    return float((1 + hits) / (permutations + 1)), ("permutation_null",)

@@ -4,17 +4,22 @@ PC driven by an exact d-separation oracle must return the true skeleton: the
 oracle is faithful to the DAG, so every missing edge has a separating set
 among the neighbours and no present edge has one.  Recorded separating sets
 are checked against a second, path-based d-separation criterion written here,
-independent of the moral-graph oracle in the package.
+independent of the moral-graph oracle in the package.  The data tester is
+checked against direct calls of the test it wraps.
 """
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from citkit.datagen import GraphSpec, gen_random_dag
-from citkit.discovery import (SkeletonGraph, make_dsep_oracle, pc_skeleton,
+from citkit import ensemble
+from citkit.cit import CITestSpec, DataTriple, run_cit
+from citkit.datagen import GraphSpec, gen_random_dag, simulate_scm
+from citkit.discovery import (SkeletonGraph, make_cit_tester, make_dsep_oracle, pc_skeleton,
                               skeleton_metrics, skeleton_of_graph)
+from citkit.ensemble import EnsembleConfig
 from citkit.errors import ConfigError
 
 
@@ -102,6 +107,42 @@ class TestOraclePC:
         for (i, j), S in est.sepsets.items():
             assert i not in S and j not in S
             assert _d_separated(graph, i, j, S)
+
+
+class TestCitTester:
+    @pytest.fixture(scope="class")
+    def values(self):
+        return simulate_scm(gen_random_dag(4, 0.5, seed=0), 400, noise_dist="laplace",
+                            seed=0).values
+
+    def test_warm_plain_kcit_query_allocates_less_than_one_n_by_n_array(self, values):
+        spec = CITestSpec(method="kcit", seed=3)
+        tester = make_cit_tester(values, spec)
+        first = tester(0, 1, (2, 3))
+        tracemalloc.start()
+        try:
+            again = tester(0, 1, (2, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400 * 400 * 8
+        want = run_cit(DataTriple(values[:, [0]], values[:, [1]], values[:, [2, 3]]), spec).p
+        assert first.hex() == again.hex() == want.hex()
+
+    def test_ensemble_tester_looks_ecit_up_at_call_time(self, values, monkeypatch):
+        # a wrapper installed on the module after the tester was made still runs
+        spec, config = CITestSpec(method="kcit"), EnsembleConfig(n_k=100, seed=5)
+        tester = make_cit_tester(values, spec, config)
+        ecit, calls = ensemble.ecit, []
+
+        def counted(*args):
+            calls.append(args)
+            return ecit(*args)
+
+        monkeypatch.setattr(ensemble, "ecit", counted)
+        triple = DataTriple(values[:, [0]], values[:, [3]], values[:, [1]])
+        assert tester(0, 3, (1,)) == ecit(triple, spec, config).p
+        assert len(calls) == 1
 
 
 class TestSkeletonMetrics:

@@ -10,7 +10,7 @@ import pytest
 import citkit
 from citkit import bench, ensemble
 from citkit.bench import ExperimentConfig, MethodSpec, subtest_pvalue_sets
-from citkit.cit import CITestSpec, DataTriple, run_cit, with_seed
+from citkit.cit import CITestSpec, DataTriple, run_cit
 from citkit.datagen import PnlConfig, gen_pnl
 from citkit.ensemble import EnsembleConfig, ecit, partition
 from citkit.errors import ConfigError, DataError
@@ -94,7 +94,7 @@ class TestPool:
         out = ecit(data, spec, config)
         subsets = partition(data, config)
         assert [s.n for s in subsets] == [300, 300, 400]
-        want = [run_cit(s, with_seed(spec, ensemble._subset_seed(4, k))).p
+        want = [run_cit(s, replace(spec, seed=ensemble._subset_seed(4, k))).p
                 for k, s in enumerate(subsets)]
         assert [p.hex() for p in out.subtest_ps] == [p.hex() for p in want]
 

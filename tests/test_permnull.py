@@ -4,16 +4,23 @@ The moment tables are tied to brute-force enumeration over all n!
 permutations in exact rational arithmetic, the compiled evaluator to a plain
 walk over the table dicts and to exact rational cumulants, and the
 feature-space invariants to the dense ones of the materialized Gram matrix.
+The two nulls the kernel tests end in are pinned: the moment fallback on an
+input that reaches it, and the sampled permutation p of kcit and rcit.
 """
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from citkit import _moment_derivation as md
 from citkit._moment_tables import T1, T2, T3, T4
-from citkit.permnull import dense_invariants, feature_invariants, permutation_cumulants
+from citkit.cit import CITestSpec, kcit, rcit
+from citkit.datagen import PnlConfig, gen_pnl
+from citkit.errors import DataError
+from citkit.permnull import (_gamma_upper_p, analytic_null_p, dense_invariants,
+                             feature_invariants, permutation_cumulants, sampled_null_p)
 
 TABLES = {1: T1, 2: T2, 3: T3, 4: T4}
 
@@ -122,3 +129,70 @@ class TestFeatureInvariants:
         assert set(got) == set(dense)
         for name, ref in dense.items():
             assert abs(got[name] - ref) <= 1e-12 * scale[name], name
+
+
+class TestGammaUpperP:
+    def test_equals_scipy_stats_gamma_sf_bit_for_bit(self):
+        for stat in (-5.0, -1e-12, 0.0, 1e-300, 1e-8, 0.3, 1.0, 2.5, 10.0, 50.0, 1e3):
+            for mean, var in ((1.0, 1.0), (0.5, 2.0), (3.0, 0.2), (1e-3, 1e-7), (40.0, 5.0)):
+                ref = stats.gamma.sf(stat, a=mean * mean / var, scale=var / mean)
+                assert _gamma_upper_p(stat, mean, var) == float(ref)
+
+
+class TestAnalyticNull:
+    @staticmethod
+    def fallback_input():
+        """A = centred(a a' + diag(u)), B = centred(3 I - b b') at n = 12.
+
+        B is indefinite, and its trace statistic has a negative third cumulant,
+        which no normal-gamma convolution can match.
+        """
+        n = 12
+        C = np.eye(n) - 1.0 / n
+        rng = np.random.default_rng(0)
+        a, b, u = rng.standard_normal(n), rng.standard_normal(n), rng.uniform(size=n)
+        A = C @ (np.outer(a, a) + np.diag(u)) @ C
+        B = C @ (3.0 * np.eye(n) - np.outer(b, b)) @ C
+        return float((A * B).sum()), dense_invariants(A), dense_invariants(B), n
+
+    def test_negative_third_cumulant_takes_the_flagged_gamma_fallback(self):
+        stat, inv_a, inv_b, n = self.fallback_input()
+        k1, k2, k3, _, _ = permutation_cumulants(inv_a, inv_b, n)
+        assert k1 > 0 and k2 > 0 and k3 < 0
+        p, flags = analytic_null_p(stat, inv_a, inv_b, n)
+        assert flags == ("moment_fallback",)
+        assert p == float(stats.gamma.sf(stat, a=k1 * k1 / k2, scale=k2 / k1))
+        # the value the moment fallback gave before it moved into permnull
+        assert (stat.hex(), p.hex()) == ("0x1.e05937ca23608p+4", "0x1.da2ab608c6192p-3")
+
+    def test_fallback_with_non_positive_mean_raises(self):
+        rng = np.random.default_rng(0)
+        A = _centered_gram(rng.standard_normal((20, 1)))
+        B = -_centered_gram(rng.standard_normal((20, 1)))
+        k1, _, k3, _, _ = permutation_cumulants(dense_invariants(A), dense_invariants(B), 20)
+        assert k1 <= 0 and k3 <= 0
+        with pytest.raises(DataError, match="degenerate null moments"):
+            analytic_null_p(float((A * B).sum()), dense_invariants(A), dense_invariants(B), 20)
+
+
+class TestSampledNull:
+    def test_p_counts_hits_with_the_finite_permutation_floor(self):
+        def permuted(perm):
+            return float(perm[0])
+        assert sampled_null_p(np.inf, permuted, 10, 99, 0) == (0.01, ("permutation_null",))
+        assert sampled_null_p(-np.inf, permuted, 10, 99, 0) == (1.0, ("permutation_null",))
+        # perm[0] is uniform on 0..9, so about half the draws reach 5
+        p, _ = sampled_null_p(5.0, permuted, 10, 999, 0)
+        assert 0.4 < p < 0.6
+
+    # p-values the tests' own permutation loops gave before they moved here
+    @pytest.mark.parametrize("method, permutations, want", [
+        ("kcit", 200, "0x1.978feb9f34381p-1"),
+        ("rcit", 100, "0x1.f0cac5b3f5dc8p-2"),
+    ])
+    def test_kernel_tests_reproduce_their_pinned_p(self, method, permutations, want):
+        data = gen_pnl(PnlConfig(hypothesis="H0", n=150, seed=2))
+        test = kcit if method == "kcit" else rcit
+        out = test(data, CITestSpec(method=method, permutations=permutations, seed=4))
+        assert out.flags == ("permutation_null",)
+        assert out.p.hex() == want
