@@ -1,9 +1,21 @@
-"""Experiment harness: grid sweeps, replicate loops, and report emission.
+"""Experiment harness: grid sweeps, one replicate loop, and report emission.
 
 Experiments are described by a flat dotted-key config (``gen.n = 1200``,
 ``test.orig.method = rcit``, ...) or built programmatically.  Every replicate
 seed derives from (master seed, grid index, replicate index), so methods under
 comparison see identical datasets and whole reports reproduce bit-for-bit.
+
+The ``type1``, ``power``, ``alpha_ablation``, ``nk_ablation`` and
+``combiner_compare`` reports all read one loop, :func:`_replicate_outcomes`.
+It generates each replicate's dataset once and runs each method on it once.
+Failures are paired: a replicate on which any method fails is dropped for
+every method, and more than 10% failed replicates abort the grid point.
+Reports that compare ways of pooling read the ``subtest_ps`` of the loop's
+``ecit`` outcomes and pool them as ``ecit`` does.  So ``nk_ablation`` runs one
+ensemble per n_k and gets its alpha = 1.75 and alpha = 2 rows from the same
+subtests, bit-identical to running ``ecit`` at each alpha.  ``runtime`` times
+fresh calls and ``pc_bench`` runs PC on random graphs, each in a loop of its
+own.
 """
 
 from __future__ import annotations
@@ -13,13 +25,13 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import product
 
 import numpy as np
 
 from . import __version__
-from .cit import CITestSpec, DataTriple, run_cit
+from .cit import CITestSpec, DataTriple, _Workspace, run_cit
 from .combine import CLASSICAL_METHODS, clamp_pvalues, combine_classical, combine_stable
 from .datagen import PnlConfig, gen_pnl, gen_random_dag, simulate_scm
 from .discovery import (make_cit_tester, make_dsep_oracle, pc_skeleton, skeleton_metrics,
@@ -39,6 +51,8 @@ KINDS = ("type1", "power", "runtime", "alpha_ablation", "nk_ablation",
          "combiner_compare", "pc_bench")
 
 _GEN_KEYS = ("n", "d_z", "z_dist", "noise_dist", "noise_df", "beta_x", "p_edge", "d")
+# test.<label>.<key> entries passed to CITestSpec; the method and seed are set apart
+_OPTION_KEYS = tuple(f.name for f in fields(CITestSpec) if f.name not in ("method", "seed"))
 
 
 @dataclass(frozen=True)
@@ -62,7 +76,6 @@ class ExperimentConfig:
     reps: int = 200
     level: float = 0.05
     seed: int = 0
-    out: str | None = None
     alphas: tuple = ()
     nks: tuple = ()
     max_cond: int | None = None  # None: min(3, d-2), see pc_skeleton
@@ -121,69 +134,58 @@ def _pnl_config(point: dict, hypothesis: str, seed: int) -> PnlConfig:
     return PnlConfig(hypothesis=hypothesis, seed=seed, **kwargs)
 
 
-def _run_method(data: DataTriple, ms: MethodSpec, seed: int):
-    if ms.ensemble is None:
-        return run_cit(data, ms.base_spec(seed))
-    return ecit(data, ms.base_spec(0), replace(ms.ensemble, seed=seed))
-
-
 def _binomial_se(rate: float, n: int) -> float:
     return math.sqrt(rate * (1.0 - rate) / n)
 
 
-def _map_replicates(config: ExperimentConfig, one):
-    """Apply ``one(rep)`` over all replicates, in replicate order.
+def _replicate_outcomes(config: ExperimentConfig, hypothesis: str, point: dict,
+                        grid_index: int, methods):
+    """Outcomes of every method on every replicate at one grid point.
 
-    ``one`` returns a value or a CitkitError; more than 10% errors abort the
-    grid point.  Ensembles spread their own subtests over the cores (see
-    :func:`citkit.ensemble.ecit`).
+    Returns one tuple per method, holding its outcomes in replicate order.
+    Each replicate's dataset is generated once and every method runs on it
+    once.  Plain methods share one kcit workspace across the replicates;
+    ensembles spread their own subtests over the cores (see
+    :func:`citkit.ensemble.ecit`).  Failures are paired: a replicate on which
+    any method fails is dropped for every method, and more than 10% failed
+    replicates abort the grid point.
     """
-    results = [one(rep) for rep in range(config.reps)]
-    failures = [r for r in results if isinstance(r, CitkitError)]
-    if len(failures) > 0.1 * config.reps:
-        raise DataError(f"{len(failures)} of {config.reps} replicates failed; "
-                        f"first failure: {failures[0]}")
-    return [r for r in results if not isinstance(r, CitkitError)]
-
-
-def replicate_decisions(config: ExperimentConfig, hypothesis: str, point: dict,
-                        grid_index: int = 0):
-    """Per-replicate rejection indicators per method, on shared datasets.
-
-    Returns (decisions, elapsed) where decisions maps method label to a
-    list of 0/1 rejections in replicate order — the paired records behind
-    the aggregated rates, used for sign/McNemar-style comparisons.
-    """
-
-    def one(rep):
+    workspace = _Workspace()
+    kept, failures = [], []
+    for rep in range(config.reps):
         seed = _rep_seed(config.seed, grid_index, rep)
         data = gen_pnl(_pnl_config(point, hypothesis, seed))
         try:
-            return {ms.label: _run_method(data, ms, seed) for ms in config.methods}
+            kept.append([run_cit(data, ms.base_spec(seed), _workspace=workspace)
+                         if ms.ensemble is None else
+                         ecit(data, ms.base_spec(0), replace(ms.ensemble, seed=seed))
+                         for ms in methods])
         except CitkitError as exc:
-            return exc
+            failures.append(exc)
+    if len(failures) > 0.1 * config.reps:
+        raise DataError(f"{len(failures)} of {config.reps} replicates failed; "
+                        f"first failure: {failures[0]}")
+    return list(zip(*kept))
 
-    decisions = {ms.label: [] for ms in config.methods}
-    elapsed = {ms.label: [] for ms in config.methods}
-    for outs in _map_replicates(config, one):
-        for label, out in outs.items():
-            decisions[label].append(int(out.p <= config.level))
-            elapsed[label].append(out.elapsed)
-    return decisions, elapsed
+
+def _rate_row(config: ExperimentConfig, point: dict, label: str, metric: str, ps,
+              seconds: float):
+    rate = float(np.mean([p <= config.level for p in ps]))
+    return ReportRow(_fingerprint(point), label, metric, rate, _binomial_se(rate, len(ps)),
+                     1000.0 * seconds)
+
+
+def _median_elapsed(outs) -> float:
+    return float(np.median([o.elapsed for o in outs]))
 
 
 def _rate_rows(config: ExperimentConfig, hypothesis: str, metric: str):
     rows = []
     for gi, point in enumerate(config.grid_points()):
-        decisions, elapsed = replicate_decisions(config, hypothesis, point, gi)
-        for ms in config.methods:
-            dec = decisions[ms.label]
-            if not dec:
-                raise DataError(f"all replicates failed at grid point {_fingerprint(point)}")
-            rate = float(np.mean(dec))
-            rows.append(ReportRow(_fingerprint(point), ms.label, metric, rate,
-                                  _binomial_se(rate, len(dec)),
-                                  1000.0 * float(np.median(elapsed[ms.label]))))
+        outcomes = _replicate_outcomes(config, hypothesis, point, gi, config.methods)
+        for ms, outs in zip(config.methods, outcomes):
+            rows.append(_rate_row(config, point, ms.label, metric, [o.p for o in outs],
+                                  _median_elapsed(outs)))
     return rows
 
 
@@ -231,25 +233,9 @@ def _runtime_rows(config: ExperimentConfig):
     return rows
 
 
-def subtest_pvalue_sets(config: ExperimentConfig, hypothesis: str, ms: MethodSpec,
-                        point: dict, grid_index: int = 0):
-    """Per-replicate raw subtest p-value vectors for combiner comparisons.
-
-    Each vector is the ``subtest_ps`` of the replicate's :func:`ecit` run, so
-    combining it reproduces exactly what the ensemble itself reports.
-    """
-    if ms.ensemble is None:
-        raise ConfigError("subtest p-value sweeps need an ensemble method")
-
-    def one(rep):
-        seed = _rep_seed(config.seed, grid_index, rep)
-        data = gen_pnl(_pnl_config(point, hypothesis, seed))
-        try:
-            return np.array(_run_method(data, ms, seed).subtest_ps)
-        except CitkitError as exc:
-            return exc
-
-    return _map_replicates(config, one)
+def _pool_each(outs, pool, epsilon: float):
+    """``pool`` applied to each outcome's subtest p-values, clamped as ``ecit`` clamps them."""
+    return [pool(clamp_pvalues(o.subtest_ps, epsilon=epsilon)) for o in outs]
 
 
 def _pooled_rows(config: ExperimentConfig, variants):
@@ -257,8 +243,7 @@ def _pooled_rows(config: ExperimentConfig, variants):
 
     ``variants(config, ms)`` lists (label, pool) pairs, where ``pool`` maps the
     clamped p-values of one ``ecit`` run to a combined p.  Every variant pools
-    the same subtest p-values, from :func:`subtest_pvalue_sets`, clamped as
-    :func:`~citkit.ensemble.ecit` clamps them.
+    the same ``subtest_ps`` of each replicate's ``ecit`` run.
     """
     ms = config.methods[0] if config.methods else MethodSpec(
         label="ekcit", method="kcit", ensemble=EnsembleConfig(n_k=400))
@@ -269,48 +254,53 @@ def _pooled_rows(config: ExperimentConfig, variants):
     rows = []
     for gi, point in enumerate(config.grid_points()):
         for hypothesis, metric in (("H0", "type1_rate"), ("H1", "power")):
-            sets = subtest_pvalue_sets(config, hypothesis, ms, point, gi)
+            (outs,) = _replicate_outcomes(config, hypothesis, point, gi, (ms,))
             for label, pool in variants:
                 t0 = time.perf_counter()
-                rej = [pool(clamp_pvalues(ps, epsilon=ms.ensemble.epsilon)) <= config.level
-                       for ps in sets]
-                dt = (time.perf_counter() - t0) / max(len(sets), 1)
-                rate = float(np.mean(rej))
-                rows.append(ReportRow(_fingerprint(point), label, metric, rate,
-                                      _binomial_se(rate, len(rej)), 1000.0 * dt))
+                ps = _pool_each(outs, pool, ms.ensemble.epsilon)
+                dt = (time.perf_counter() - t0) / len(outs)
+                rows.append(_rate_row(config, point, label, metric, ps, dt))
     return rows
 
 
-def _stable_pool(params: StableParams):
+def _stable_pool(alpha: float):
+    params = StableParams(alpha, 0.0)
     return lambda clamped: combine_stable(clamped, params).p_combined
 
 
 def _alpha_variants(config: ExperimentConfig, ms: MethodSpec):
-    return [(f"{ms.label}@alpha={alpha:g}", _stable_pool(StableParams(float(alpha), 0.0, 1.0, 0.0)))
-            for alpha in config.alphas]
+    return [(f"{ms.label}@alpha={alpha:g}", _stable_pool(alpha)) for alpha in config.alphas]
 
 
 def _combiner_variants(config: ExperimentConfig, ms: MethodSpec):
     classical = [(name, lambda clamped, name=name: combine_classical(name, clamped).p_combined)
                  for name in CLASSICAL_METHODS if name != "liptak"]
-    return [("ours", _stable_pool(ms.ensemble.params))] + classical
+    return [("ours", _stable_pool(ms.ensemble.alpha))] + classical
 
 
 def _nk_rows(config: ExperimentConfig):
-    base_ms = config.methods[0] if config.methods else MethodSpec(label="ekcit", method="kcit")
+    """Power of one ensemble per n_k, pooled at alpha = 1.75 and 2, and of the base test.
+
+    Both alphas pool the same ``subtest_ps``, so each ensemble runs once per
+    replicate; both rows report its median ``ecit`` time.
+    """
+    base = config.methods[0]
+    ensembles = tuple(MethodSpec(label=f"{base.label}@nk={nk}", method=base.method,
+                                 ensemble=EnsembleConfig(n_k=int(nk)), options=base.options)
+                      for nk in config.nks)
+    orig = MethodSpec(label=f"{base.method}-orig", method=base.method, options=base.options)
     rows = []
     for gi, point in enumerate(config.grid_points()):
-        for nk in config.nks:
+        *ensemble_outs, orig_outs = _replicate_outcomes(config, "H1", point, gi,
+                                                        ensembles + (orig,))
+        for nk, ms, outs in zip(config.nks, ensembles, ensemble_outs):
+            elapsed = _median_elapsed(outs)
             for alpha in (1.75, 2.0):
-                ens = EnsembleConfig(n_k=int(nk), params=StableParams(alpha, 0.0, 1.0, 0.0))
-                ms = MethodSpec(label=f"{base_ms.label}@nk={nk},alpha={alpha:g}",
-                                method=base_ms.method, ensemble=ens, options=base_ms.options)
-                sub = replace(config, methods=(ms,))
-                rows.extend(_rate_rows(sub, "H1", "power"))
-        orig = MethodSpec(label=f"{base_ms.method}-orig", method=base_ms.method,
-                          options=base_ms.options)
-        sub = replace(config, methods=(orig,))
-        rows.extend(_rate_rows(sub, "H1", "power"))
+                ps = _pool_each(outs, _stable_pool(alpha), ms.ensemble.epsilon)
+                rows.append(_rate_row(config, point, f"{base.label}@nk={nk},alpha={alpha:g}",
+                                      "power", ps, elapsed))
+        rows.append(_rate_row(config, point, orig.label, "power", [o.p for o in orig_outs],
+                              _median_elapsed(orig_outs)))
     return rows
 
 
@@ -419,20 +409,21 @@ def _build_methods(flat: dict):
         groups.setdefault(parts[1], {})[parts[2]] = value
     methods = []
     for label in sorted(groups):
-        fields = dict(groups[label])
-        method = fields.pop("method", "kcit")
+        options = dict(groups[label])
+        method = options.pop("method", "kcit")
         ens_kwargs = {}
-        if "nk" in fields:
-            ens_kwargs["n_k"] = int(fields.pop("nk"))
-        if "K" in fields:
-            ens_kwargs["K"] = int(fields.pop("K"))
-        if "alpha" in fields:
-            ens_kwargs["params"] = StableParams(float(fields.pop("alpha")), 0.0, 1.0, 0.0)
-        for name in ("partition_policy", "remainder_policy", "epsilon"):
-            if name in fields:
-                ens_kwargs[name] = fields.pop(name)
+        if "nk" in options:
+            ens_kwargs["n_k"] = int(options.pop("nk"))
+        if "K" in options:
+            ens_kwargs["K"] = int(options.pop("K"))
+        for name in ("alpha", "partition_policy", "remainder_policy", "epsilon"):
+            if name in options:
+                ens_kwargs[name] = options.pop(name)
+        for name in options:
+            if name not in _OPTION_KEYS:
+                raise ConfigError(f"unknown method option test.{label}.{name}; "
+                                  f"a CI test takes {', '.join(_OPTION_KEYS)}")
         ensemble = EnsembleConfig(**ens_kwargs) if ens_kwargs else None
-        options = {k: v for k, v in fields.items()}
         methods.append(MethodSpec(label=label, method=method, ensemble=ensemble,
                                   options=options))
     return tuple(methods)
@@ -476,10 +467,9 @@ def build_experiment(flat: dict) -> ExperimentConfig:
     if "nks" in flat:
         v = flat.pop("nks")
         kwargs["nks"] = tuple(v) if isinstance(v, list) else (v,)
-    out = flat.pop("out", None)
     if flat:
         raise ConfigError(f"unknown config keys: {sorted(flat)}")
-    return ExperimentConfig(kind=kind, grid=grid, methods=methods, out=out, **kwargs)
+    return ExperimentConfig(kind=kind, grid=grid, methods=methods, **kwargs)
 
 
 # ---------------------------------------------------------------------------

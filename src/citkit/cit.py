@@ -145,7 +145,6 @@ class CITestSpec:
     """Method selector plus per-method settings."""
 
     method: str = "kcit"
-    bandwidth: str = "median"
     num_features_xy: int = 100
     num_features_z: int = 100
     ridge: float = 1e-3
@@ -155,8 +154,6 @@ class CITestSpec:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {_METHODS}")
-        if self.bandwidth != "median":
-            raise ConfigError(f"unsupported bandwidth policy {self.bandwidth!r}")
         if self.num_features_xy < 5 or self.num_features_z < 5:
             raise ConfigError("feature counts must be >= 5")
         if not (0 < self.ridge < 1):

@@ -74,12 +74,11 @@ def _cit_spec(args, seed) -> CITestSpec:
 
 
 def _ensemble_config(args, seed) -> EnsembleConfig:
-    kwargs = {"seed": seed}
+    kwargs = {"seed": seed, "alpha": args.stable_alpha}
     if args.nk is not None:
         kwargs["n_k"] = args.nk
     if args.K is not None:
         kwargs["K"] = args.K
-    kwargs["params"] = StableParams(args.stable_alpha, 0.0, 1.0, 0.0)
     if args.partition is not None:
         kwargs["partition_policy"] = args.partition
     if args.remainder is not None:
@@ -313,7 +312,7 @@ def _cmd_bench(args):
 def _cmd_pc(args):
     matrix, names = load_csv(args.data)
     cfg = None if args.nk is None else EnsembleConfig(
-        n_k=args.nk, seed=args.seed, params=StableParams(args.stable_alpha, 0.0, 1.0, 0.0))
+        n_k=args.nk, seed=args.seed, alpha=args.stable_alpha)
     tester = make_cit_tester(matrix, CITestSpec(method=args.method, seed=args.seed), cfg)
     graph = pc_skeleton(matrix, tester, level=args.level, max_cond=args.max_cond)
     edges = [(names[i], names[j]) for i, j in graph.edges()]

@@ -14,7 +14,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,11 +35,13 @@ class EnsembleConfig:
 
     Exactly one of ``n_k`` (rows per subset) and ``K`` (number of subsets)
     must be given; the other is derived from the data size at partition time.
+    ``alpha`` is the tail index of the symmetric stable law that pools the
+    subtest p-values; its scale and location cannot move the combined p.
     """
 
     n_k: int | None = None
     K: int | None = None
-    params: StableParams = field(default_factory=lambda: StableParams(1.75, 0.0, 1.0, 0.0))
+    alpha: float = 1.75
     partition_policy: str = "shuffle"
     remainder_policy: str = "drop"
     seed: int = 0
@@ -52,6 +54,7 @@ class EnsembleConfig:
             raise ConfigError(f"n_k must be at least 8, got {self.n_k}")
         if self.K is not None and self.K < 1:
             raise ConfigError(f"K must be at least 1, got {self.K}")
+        StableParams(self.alpha, 0.0)  # raises ConfigError on a bad alpha
         if not (0.0 < self.epsilon <= 0.01):
             raise ConfigError(f"clamp epsilon must lie in (0, 0.01], got {self.epsilon}")
         if self.partition_policy not in _PARTITION_POLICIES:
@@ -240,7 +243,7 @@ def ecit(data: DataTriple, base: CITestSpec, config: EnsembleConfig) -> TestOutc
 
     raw_ps = tuple(o.p for o in outcomes)
     clamped = clamp_pvalues(np.array(raw_ps), epsilon=config.epsilon)
-    combined = combine_stable(clamped, config.params)
+    combined = combine_stable(clamped, StableParams(config.alpha, 0.0))
     return TestOutcome(
         p=combined.p_combined,
         statistic=combined.statistic,

@@ -95,7 +95,6 @@ class TestCITestSpec:
 
     @pytest.mark.parametrize("kwargs", [
         {"method": "cmiknn"},
-        {"bandwidth": "scott"},
         {"num_features_xy": 4},
         {"num_features_z": 2},
         {"ridge": 0.0},

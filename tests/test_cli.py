@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import citkit
-from citkit import cit
+from citkit import bench, cit
 from citkit.cli import main
 from citkit.errors import NumericalError
 
@@ -106,3 +106,12 @@ def test_bench_pc_on_four_variables(tmp_path):
     assert rc == 0
     rows = json.loads(out.read_text())["rows"]
     assert {r["metric"] for r in rows} == {"f1", "shd"}
+
+
+@pytest.mark.parametrize("option", ["ridgee=0.1", "bandwidth=scott", "seed=3"])
+def test_bench_rejects_an_unknown_method_option_before_running(option, monkeypatch, capsys):
+    monkeypatch.setattr(bench, "gen_pnl", None)  # any data generation would raise
+    rc = main(["bench", "type1", "--set", "gen.n=200", "--set", "test.k.method=fisherz",
+               "--set", f"test.k.{option}", "--set", "reps=1"])
+    assert rc == 2
+    assert f"test.k.{option.split('=')[0]}" in capsys.readouterr().err

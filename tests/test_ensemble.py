@@ -9,7 +9,7 @@ import pytest
 
 import citkit
 from citkit import bench, ensemble
-from citkit.bench import ExperimentConfig, MethodSpec, subtest_pvalue_sets
+from citkit.bench import ExperimentConfig, MethodSpec
 from citkit.cit import CITestSpec, DataTriple, run_cit
 from citkit.datagen import PnlConfig, gen_pnl
 from citkit.ensemble import EnsembleConfig, ecit, partition
@@ -197,16 +197,16 @@ class TestSubtestPvalueSets:
         config = ExperimentConfig(kind="combiner_compare", grid={"n": 300, "d_z": 1},
                                   methods=(ms,), reps=3, seed=8)
         point = config.grid_points()[0]
-        got = subtest_pvalue_sets(config, "H0", ms, point, 0)
+        (got,) = bench._replicate_outcomes(config, "H0", point, 0, (ms,))
         assert len(got) == 3
-        for rep, ps in enumerate(got):
+        for rep, out in enumerate(got):
             seed = bench._rep_seed(config.seed, 0, rep)
             data = gen_pnl(bench._pnl_config(point, "H0", seed))
             subs = partition(data, replace(ms.ensemble, seed=seed))
             want = [run_cit(sub, replace(ms.base_spec(0),
                                          seed=ensemble._subset_seed(seed, k))).p
                     for k, sub in enumerate(subs)]
-            assert [p.hex() for p in ps] == [p.hex() for p in want]
+            assert [p.hex() for p in out.subtest_ps] == [p.hex() for p in want]
 
 
 class TestRuntimeProfile:
