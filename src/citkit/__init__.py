@@ -19,11 +19,9 @@ from .errors import CitkitError, ConfigError, DataError, NumericalError
 from .stable import (
     StableParams,
     aggregate_params,
-    char_fn,
     stable_cdf,
     stable_quantile,
     stable_sample,
-    sum_params,
 )
 from .cit import (
     CITestSpec,
@@ -76,14 +74,12 @@ __all__ = [
     "CombinedResult",
     "StableParams",
     "aggregate_params",
-    "char_fn",
     "clamp_pvalues",
     "combine_classical",
     "combine_stable",
     "stable_cdf",
     "stable_quantile",
     "stable_sample",
-    "sum_params",
     "CITestSpec",
     "DataTriple",
     "TestOutcome",

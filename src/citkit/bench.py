@@ -36,15 +36,14 @@ from .combine import CLASSICAL_METHODS, clamp_pvalues, combine_classical, combin
 from .datagen import PnlConfig, gen_pnl, gen_random_dag, simulate_scm
 from .discovery import (make_cit_tester, make_dsep_oracle, pc_skeleton, skeleton_metrics,
                         skeleton_of_graph)
-from .ensemble import EnsembleConfig, ecit
+from .ensemble import EnsembleConfig, _subset_shape, ecit
 from .errors import CitkitError, ConfigError, DataError
 from .stable import StableParams
 
 __all__ = [
     "ExperimentConfig", "MethodSpec", "MetricsReport", "ReportRow",
     "run_experiment", "parse_config_text", "build_experiment",
-    "load_csv", "load_data_triple", "emit_report", "read_report_csv",
-    "runtime_profile",
+    "load_csv", "load_data_triple", "emit_report", "runtime_profile",
 ]
 
 KINDS = ("type1", "power", "runtime", "alpha_ablation", "nk_ablation",
@@ -53,6 +52,8 @@ KINDS = ("type1", "power", "runtime", "alpha_ablation", "nk_ablation",
 _GEN_KEYS = ("n", "d_z", "z_dist", "noise_dist", "noise_df", "beta_x", "p_edge", "d")
 # test.<label>.<key> entries passed to CITestSpec; the method and seed are set apart
 _OPTION_KEYS = tuple(f.name for f in fields(CITestSpec) if f.name not in ("method", "seed"))
+# pc_bench's sample size when the grid gives none
+_PC_DEFAULT_N = 2000
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,22 @@ class ExperimentConfig:
         if self.kind not in ("runtime", "pc_bench") and not self.methods \
                 and self.kind not in ("alpha_ablation", "combiner_compare"):
             raise ConfigError(f"{self.kind} needs at least one test.<label>.method entry")
+        if self.kind != "pc_bench" and any(ms.method == "oracle" for ms in self.methods):
+            raise ConfigError("the d-separation oracle (method = oracle) runs only in pc_bench")
+        if self.kind == "nk_ablation" and any(ms.ensemble is not None for ms in self.methods):
+            raise ConfigError("nk_ablation takes its subset sizes from nks and pools at "
+                              "alpha = 1.75 and 2; give its method no ensemble keys "
+                              "(nk, K, alpha, partition_policy, remainder_policy, epsilon)")
+        self._check_subset_sizes()
+
+    def _check_subset_sizes(self):
+        """Every ensemble, and every n_k in ``nks``, must split every grid n."""
+        ensembles = [ms.ensemble for ms in self.methods if ms.ensemble is not None]
+        ensembles += [EnsembleConfig(n_k=int(nk)) for nk in self.nks]
+        default_n = _PC_DEFAULT_N if self.kind == "pc_bench" else PnlConfig.n
+        for point in self.grid_points():
+            for ensemble in ensembles:
+                _subset_shape(int(point.get("n", default_n)), ensemble)
 
     def grid_points(self):
         keys = sorted(self.grid)
@@ -308,7 +325,7 @@ def _pc_rows(config: ExperimentConfig):
     rows = []
     for gi, point in enumerate(config.grid_points()):
         d = int(point.get("d", 8))
-        n = int(point.get("n", 2000))
+        n = int(point.get("n", _PC_DEFAULT_N))
         p_edge = float(point.get("p_edge", 0.3))
         noise = point.get("noise_dist", "laplace")
         noise_df = float(point.get("noise_df", 4.0))
@@ -424,8 +441,13 @@ def _build_methods(flat: dict):
                 raise ConfigError(f"unknown method option test.{label}.{name}; "
                                   f"a CI test takes {', '.join(_OPTION_KEYS)}")
         ensemble = EnsembleConfig(**ens_kwargs) if ens_kwargs else None
-        methods.append(MethodSpec(label=label, method=method, ensemble=ensemble,
-                                  options=options))
+        ms = MethodSpec(label=label, method=method, ensemble=ensemble, options=options)
+        if method != "oracle":
+            try:
+                ms.base_spec(0)  # raises ConfigError on a bad option value
+            except TypeError as exc:
+                raise ConfigError(f"bad option value for test.{label}: {exc}") from None
+        methods.append(ms)
     return tuple(methods)
 
 
@@ -530,8 +552,8 @@ def load_data_triple(path, x, y, z=()):
 _CSV_HEADER = ("config_id", "method", "metric", "value", "stderr", "elapsed_ms")
 
 
-def emit_report(report: MetricsReport, fmt: str = "csv", path=None) -> str:
-    """Serialize a report; returns the text and optionally writes it to path."""
+def emit_report(report: MetricsReport, fmt: str = "csv") -> str:
+    """Serialize a report as CSV or JSON text."""
     if not report.rows:
         raise ConfigError("refusing to emit an empty report")
     if fmt == "csv":
@@ -541,31 +563,12 @@ def emit_report(report: MetricsReport, fmt: str = "csv", path=None) -> str:
         for r in report.rows:
             writer.writerow([r.config_id, r.method, r.metric,
                              repr(r.value), repr(r.stderr), repr(r.elapsed_ms)])
-        text = buf.getvalue()
-    elif fmt == "json":
+        return buf.getvalue()
+    if fmt == "json":
         payload = {"header": report.header,
                    "rows": [{"config_id": r.config_id, "method": r.method,
                              "metric": r.metric, "value": r.value,
                              "stderr": r.stderr, "elapsed_ms": r.elapsed_ms}
                             for r in report.rows]}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        raise ConfigError(f"unknown report format {fmt!r}; use csv or json")
-    if path is not None:
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise DataError(f"cannot write report to {path}: {exc}") from exc
-    return text
-
-
-def read_report_csv(path) -> list:
-    """Parse a report CSV back into ReportRow records."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != _CSV_HEADER:
-            raise DataError(f"{path}: unexpected report header {header}")
-        return [ReportRow(c, m, met, float(v), float(se), float(ms))
-                for c, m, met, v, se, ms in reader]
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    raise ConfigError(f"unknown report format {fmt!r}; use csv or json")

@@ -47,12 +47,11 @@ def _emit_values(values, args):
 
 
 def _stable_params(args) -> StableParams:
-    return StableParams(args.alpha, args.beta, args.gamma, args.delta)
+    return StableParams(args.alpha, 0.0, args.gamma, args.delta)
 
 
 def _add_stable_flags(p):
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=0.0)
 

@@ -175,15 +175,12 @@ def _run_subtests(subsets, specs, workers: int) -> list[TestOutcome]:
     return results
 
 
-def partition(data: DataTriple, config: EnsembleConfig) -> list[DataTriple]:
-    """Split ``data`` into disjoint row subsets per the config's policies.
+def _subset_shape(n: int, config: EnsembleConfig) -> tuple[int, int]:
+    """(rows per subset, number of subsets) for ``n`` rows under ``config``.
 
-    ``shuffle`` permutes rows by a permutation derived from the master seed
-    before slicing; ``sequential`` slices rows in their given order.  The
-    union of the returned subsets plus any dropped remainder is exactly the
-    original index set.
+    Raises :class:`ConfigError` when ``n`` cannot fill one subset of n_k rows,
+    or K subsets of at least 8 rows.
     """
-    n = data.n
     if config.n_k is not None:
         n_k = config.n_k
         K = n // n_k
@@ -198,7 +195,19 @@ def partition(data: DataTriple, config: EnsembleConfig) -> list[DataTriple]:
             raise ConfigError(
                 f"n={n} split into K={K} subsets leaves {n_k} rows each (< 8); "
                 "run the base test directly instead of an ensemble")
+    return n_k, K
 
+
+def partition(data: DataTriple, config: EnsembleConfig) -> list[DataTriple]:
+    """Split ``data`` into disjoint row subsets per the config's policies.
+
+    ``shuffle`` permutes rows by a permutation derived from the master seed
+    before slicing; ``sequential`` slices rows in their given order.  The
+    union of the returned subsets plus any dropped remainder is exactly the
+    original index set.
+    """
+    n = data.n
+    n_k, K = _subset_shape(n, config)
     if config.partition_policy == "shuffle":
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0)))
         order = rng.permutation(n)

@@ -1,28 +1,23 @@
-"""Numerics for alpha-stable distributions S(alpha, beta, gamma, delta).
+"""Numerics for symmetric alpha-stable laws S(alpha, 0, gamma, delta).
 
-The parameterization is the classic one in which the characteristic function
-for ``alpha != 1`` is
+The characteristic function is
 
-    E[exp(iuX)] = exp(-gamma^alpha |u|^alpha (1 - i beta tan(pi alpha/2) sign(u))
-                      + i delta u)
+    E[exp(iuX)] = exp(-gamma^alpha |u|^alpha + i delta u).
 
-and for ``alpha = 1``
-
-    E[exp(iuX)] = exp(-gamma |u| (1 + i beta (2/pi) sign(u) ln|u|) + i delta u).
-
-(Nolan's "S1" convention.)  No other parameterization is exposed.
+At beta = 0 Nolan's S0 and S1 parameterizations coincide, so delta is the
+median and no location shift is needed.  Skewed laws are not supported: the
+ensemble and every combiner pool p-values with a symmetric law only.
 
 CDF evaluation strategy
 -----------------------
-* closed forms for alpha=2 (Gaussian), alpha=1 & beta=0 (Cauchy) and
-  alpha=0.5 & |beta|=1 (Levy);
-* for symmetric laws with alpha in (1, 2): a vectorized three-zone scheme
+* closed forms for alpha = 2 (Gaussian) and alpha = 1 (Cauchy);
+* for alpha in [1.05, 1.995], the fast path: a vectorized three-zone scheme
   (power series around the origin, a cached Chebyshev interpolant on the
   mid band, asymptotic tail series).  Where the band meets the tail
   series the CDF jumps by less than 2e-14 on a grid of alpha in
   [1.05, 1.99] with step 0.01, but by 1.5e-9 at alpha = 1.995;
-* everywhere else: adaptive quadrature of Nolan-style single-integral
-  representations, point by point.
+* every other alpha: adaptive quadrature of Nolan's single-integral
+  representation, point by point.
 
 The Chebyshev table is built once per alpha from the same single integral:
 all 130 nodes at once, each split on the ladder of the integrand's
@@ -33,17 +28,13 @@ agrees with adaptive quadrature to 3e-16 at every node; toward alpha = 2
 the integrand sharpens, the fixed rules stop agreeing and most nodes fall
 back, to the same 3e-16.
 
-Quantiles of the fast path invert the tail series directly in its zone
-(Newton's method in |z|^-alpha), so they keep full relative accuracy down to
-p ~ 1e-300.  Below the tail zone a cubic Hermite interpolant of the inverse
-CDF, built with the table, gives a start, and one Newton step with the
-density finishes it: |F(q) - p| stays within about 2e-13 for alpha in
-[1.05, 1.995].  Off the fast path a bracketed root search on the CDF is
-used.
-
-``alpha = 1`` with ``beta != 0`` is supported by ``char_fn`` and sampling but
-rejected by CDF/quantile: the log-term integral is numerically treacherous
-there and nothing in the package needs it (combiners fix beta = 0).
+Quantiles take the same three routes.  Closed forms at alpha = 1 and 2.  On
+the fast path the tail zone inverts its series directly (Newton's method in
+|z|^-alpha), so quantiles keep full relative accuracy down to p ~ 1e-300;
+below the tail zone a cubic Hermite interpolant of the inverse CDF, built
+with the table, gives a start, and one Newton step with the density
+finishes it: |F(q) - p| stays within about 2e-13 for alpha in
+[1.05, 1.995].  Every other alpha uses a bracketed root search on the CDF.
 """
 
 from __future__ import annotations
@@ -61,12 +52,10 @@ from .errors import ConfigError, NumericalError
 
 __all__ = [
     "StableParams",
-    "char_fn",
     "stable_cdf",
     "stable_quantile",
     "stable_sample",
     "aggregate_params",
-    "sum_params",
 ]
 
 _QUAD_EPSABS = 1e-10
@@ -89,84 +78,58 @@ _INVERSE_NODES = 257
 
 @dataclass(frozen=True)
 class StableParams:
-    """Parameter quadruple of a stable law.
+    """Parameters of a symmetric stable law S(alpha, 0, gamma, delta).
 
     alpha : tail index, in (0, 2]
-    beta  : skewness, in [-1, 1]
+    beta  : skewness; only 0 is supported
     gamma : scale, > 0
     delta : location
     """
 
     alpha: float
-    beta: float
+    beta: float = 0.0
     gamma: float = 1.0
     delta: float = 0.0
 
     def __post_init__(self):
-        a, b, g, d = self.alpha, self.beta, self.gamma, self.delta
-        for name, v in (("alpha", a), ("beta", b), ("gamma", g), ("delta", d)):
+        for name in ("alpha", "beta", "gamma", "delta"):
+            v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise ConfigError(f"StableParams.{name} must be a finite real, got {v!r}")
-        if not 0.0 < a <= 2.0:
-            raise ConfigError(f"alpha must lie in (0, 2], got {a}")
-        if not -1.0 <= b <= 1.0:
-            raise ConfigError(f"beta must lie in [-1, 1], got {b}")
-        if not g > 0.0:
-            raise ConfigError(f"gamma must be positive, got {g}")
-        object.__setattr__(self, "alpha", float(a))
-        object.__setattr__(self, "beta", float(b))
-        object.__setattr__(self, "gamma", float(g))
-        object.__setattr__(self, "delta", float(d))
-
-
-def char_fn(u: ArrayLike, params: StableParams):
-    """Characteristic function E[exp(iuX)] at frequency ``u``.
-
-    Vectorized over ``u``; returns complex scalar for scalar input.
-    """
-    a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
-    u = np.asarray(u, dtype=float)
-    absu = np.abs(u)
-    sgn = np.sign(u)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if a == 1.0:
-            # sign(u)*log|u| -> 0 as u -> 0, but log(0) is -inf; patch after.
-            log_term = np.where(absu > 0, np.log(np.where(absu > 0, absu, 1.0)), 0.0)
-            expo = -g * absu * (1.0 + 1j * b * (2.0 / np.pi) * sgn * log_term) + 1j * d * u
-        else:
-            expo = (-(g ** a) * absu ** a * (1.0 - 1j * b * math.tan(np.pi * a / 2.0) * sgn)
-                    + 1j * d * u)
-    out = np.exp(expo)
-    return complex(out) if out.ndim == 0 else out
+            object.__setattr__(self, name, float(v))
+        if not 0.0 < self.alpha <= 2.0:
+            raise ConfigError(f"alpha must lie in (0, 2], got {self.alpha}")
+        if self.beta != 0.0:
+            raise ConfigError(
+                f"only symmetric stable laws (beta = 0) are supported, got beta = {self.beta}")
+        if not self.gamma > 0.0:
+            raise ConfigError(f"gamma must be positive, got {self.gamma}")
 
 
 # ---------------------------------------------------------------------------
-# general-case CDF: Nolan single-integral representations
+# general-case CDF: Nolan's single-integral representation
 # ---------------------------------------------------------------------------
 
-def _nolan_V(alpha, beta):
-    """Return (zeta, theta0, logV) for the alpha != 1 integral representation.
+def _nolan_logV(alpha):
+    """log V(theta) of the symmetric integral representation, alpha != 1.
 
-    V is returned on the log scale: near alpha = 1 its dynamic range exceeds
+    V is taken on the log scale: near alpha = 1 its dynamic range exceeds
     float64 wildly, but log V is a sum of large terms that cancel to modest
     absolute error, which is exactly what exp(-exp(log c + log V)) needs.
     """
-    zeta = -beta * math.tan(np.pi * alpha / 2.0)
-    theta0 = math.atan(beta * math.tan(np.pi * alpha / 2.0)) / alpha
     expo = alpha / (alpha - 1.0)
-    log_c0 = math.log(math.cos(alpha * theta0)) / (alpha - 1.0)
 
     def logV(th):
         th = np.asarray(th, dtype=float)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             cos_th = np.maximum(np.cos(th), 1e-300)
-            sin_a = np.maximum(np.sin(alpha * (theta0 + th)), 1e-300)
-            cos_shift = np.maximum(np.cos(alpha * theta0 + (alpha - 1.0) * th), 1e-300)
-            out = (log_c0 + expo * (np.log(cos_th) - np.log(sin_a))
+            sin_a = np.maximum(np.sin(alpha * th), 1e-300)
+            cos_shift = np.maximum(np.cos((alpha - 1.0) * th), 1e-300)
+            out = (expo * (np.log(cos_th) - np.log(sin_a))
                    + np.log(cos_shift) - np.log(cos_th))
         return out
 
-    return zeta, theta0, logV
+    return logV
 
 
 # Values of c * V(theta) that bracket the exp(-c V) transition of the integrand.
@@ -193,21 +156,16 @@ def _split_ladder(logV, lo, hi, log_targets):
     return np.where(inside, 0.5 * (a + b), np.nan)
 
 
-def _cdf_quad_std(z, alpha, beta):
-    """CDF of the standardized law (gamma=1, delta=0, S0 location) at scalar z.
-
-    Only for alpha != 1; the alpha = 1 cases are either closed-form (beta = 0)
-    or rejected upstream.
-    """
-    if alpha == 1.0:
-        return 0.5 + math.atan(z) / np.pi
-    zeta, theta0, logV = _nolan_V(alpha, beta)
-    if abs(z - zeta) < 1e-10 * (1.0 + abs(zeta)):
-        return 0.5 - theta0 / np.pi
-    if z < zeta:
-        return 1.0 - _cdf_quad_std(-z, alpha, -beta)
-    log_c = (alpha / (alpha - 1.0)) * math.log(z - zeta)
-    lo, hi = -theta0, np.pi / 2.0
+def _cdf_quad_std(z, alpha):
+    """CDF of S(alpha, 0, 1, 0) at scalar z, for alpha other than 1 and 2,
+    by adaptive quadrature of the single integral."""
+    if abs(z) < 1e-10:
+        return 0.5
+    if z < 0.0:
+        return 1.0 - _cdf_quad_std(-z, alpha)
+    logV = _nolan_logV(alpha)
+    log_c = (alpha / (alpha - 1.0)) * math.log(z)
+    lo, hi = 0.0, np.pi / 2.0
 
     def integrand(th):
         return np.exp(-np.exp(np.minimum(log_c + logV(th), 709.0)))
@@ -218,7 +176,7 @@ def _cdf_quad_std(z, alpha, beta):
     splits = _split_ladder(logV, lo, hi, np.log(_SPLIT_TARGETS) - log_c)
     val = _quad(integrand, lo, hi, splits)
     if alpha < 1.0:
-        return (0.5 - theta0 / np.pi) + val / np.pi
+        return 0.5 + val / np.pi
     return 1.0 - val / np.pi
 
 
@@ -232,7 +190,7 @@ def _cdf_fixed_quad_symmetric(zs, alpha):
     path, which is what happens for most points as alpha nears 2.
     """
     zs = np.asarray(zs, dtype=float)
-    _, _, logV = _nolan_V(alpha, 0.0)
+    logV = _nolan_logV(alpha)
     lo, hi = 0.0, np.pi / 2.0
     log_c = (alpha / (alpha - 1.0)) * np.log(zs)
     splits = _split_ladder(logV, lo, hi, np.log(_SPLIT_TARGETS) - log_c[:, None])
@@ -250,7 +208,7 @@ def _cdf_fixed_quad_symmetric(zs, alpha):
         cdfs.append(1.0 - (half * (f @ w)).sum(axis=1) / np.pi)
     coarse, fine = cdfs
     redo = ~(np.abs(fine - coarse) <= _FIXED_QUAD_AGREE)
-    fine[redo] = [_cdf_quad_std(z, alpha, 0.0) for z in zs[redo]]
+    fine[redo] = [_cdf_quad_std(z, alpha) for z in zs[redo]]
     return fine
 
 
@@ -474,32 +432,23 @@ def _symmetric_machine(alpha: float) -> _SymmetricMachine:
     return _SymmetricMachine(alpha)
 
 
-def _has_fast_path(params: StableParams) -> bool:
+def _has_fast_path(alpha: float) -> bool:
     # below ~1.05 the origin series converges too slowly for a useful zone
-    return params.beta == 0.0 and 1.05 <= params.alpha <= 1.995
+    return 1.05 <= alpha <= 1.995
 
 
 # ---------------------------------------------------------------------------
 # public CDF / quantile
 # ---------------------------------------------------------------------------
 
-def _check_cdf_domain(params: StableParams):
-    if params.alpha == 1.0 and params.beta != 0.0:
-        raise ConfigError(
-            "CDF/quantile for alpha = 1 with beta != 0 is not supported: the "
-            "log-correction branch is numerically unstable; use beta = 0 or "
-            "alpha != 1")
-
-
 def stable_cdf(x: ArrayLike, params: StableParams):
-    """Cumulative distribution function of S(alpha, beta, gamma, delta).
+    """Cumulative distribution function of S(alpha, 0, gamma, delta).
 
     Accepts a scalar or array ``x``; non-finite entries are rejected.  Raises
     :class:`NumericalError` when the underlying quadrature cannot reach its
     tolerance, rather than returning a doubtful value.
     """
-    _check_cdf_domain(params)
-    a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
+    a, g, d = params.alpha, params.gamma, params.delta
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
     x_arr = np.atleast_1d(x_arr)
@@ -508,58 +457,36 @@ def stable_cdf(x: ArrayLike, params: StableParams):
 
     if a == 2.0:
         out = special.ndtr((x_arr - d) / (g * math.sqrt(2.0)))
-    elif a == 1.0 and b == 0.0:
+    elif a == 1.0:
         out = 0.5 + np.arctan((x_arr - d) / g) / np.pi
-    elif a == 0.5 and abs(b) == 1.0:
-        z = (x_arr - d) / g
-        if b > 0:
-            out = np.where(z > 0, special.erfc(np.sqrt(0.5 / np.maximum(z, 1e-300))), 0.0)
-        else:
-            out = np.where(z < 0, 1.0 - special.erfc(np.sqrt(0.5 / np.maximum(-z, 1e-300))), 1.0)
-    elif _has_fast_path(params):
+    elif _has_fast_path(a):
         out = _symmetric_machine(a).cdf((x_arr - d) / g)
     else:
-        # S1 -> S0 location shift (alpha != 1 here), then quadrature per point
-        d0 = d + b * g * math.tan(np.pi * a / 2.0)
-        z = (x_arr - d0) / g
-        out = np.array([_cdf_quad_std(t, a, b) for t in z.ravel()]).reshape(z.shape)
+        z = (x_arr - d) / g
+        out = np.array([_cdf_quad_std(t, a) for t in z.ravel()]).reshape(z.shape)
     out = np.clip(out, 0.0, 1.0)
     return float(out[0]) if scalar else out
-
-
-def _quantile_closed_form(p, params):
-    a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
-    if a == 2.0:
-        return d + g * math.sqrt(2.0) * special.ndtri(p)
-    if a == 1.0 and b == 0.0:
-        return d + g * np.tan(np.pi * (p - 0.5))
-    if a == 0.5 and b == 1.0:
-        return d + g * 0.5 / special.erfcinv(p) ** 2
-    if a == 0.5 and b == -1.0:
-        return d - g * 0.5 / special.erfcinv(1.0 - p) ** 2
-    return None
 
 
 def stable_quantile(p: ArrayLike, params: StableParams):
     """Inverse CDF. ``p`` must lie strictly inside (0, 1).
 
     The result satisfies |stable_cdf(q) - p| <= 1e-10 or a
-    :class:`NumericalError` is raised.  On the symmetric fast path, quantiles
-    in the tail zone also hold min(p, 1 - p) to a relative ~1e-13.
+    :class:`NumericalError` is raised.  On the fast path, quantiles in the
+    tail zone also hold min(p, 1 - p) to a relative ~1e-13.
     """
-    _check_cdf_domain(params)
+    a, g, d = params.alpha, params.gamma, params.delta
     p_arr = np.asarray(p, dtype=float)
     scalar = p_arr.ndim == 0
     p_arr = np.atleast_1d(p_arr)
     if not np.isfinite(p_arr).all() or (p_arr <= 0.0).any() or (p_arr >= 1.0).any():
         raise ConfigError("stable_quantile requires 0 < p < 1 (clamp first)")
 
-    cf = _quantile_closed_form(p_arr, params)
-    if cf is not None:
-        out = np.asarray(cf, dtype=float)
-        return float(out[0]) if scalar else out
-
-    if _has_fast_path(params):
+    if a == 2.0:
+        out = d + g * math.sqrt(2.0) * special.ndtri(p_arr)
+    elif a == 1.0:
+        out = d + g * np.tan(np.pi * (p_arr - 0.5))
+    elif _has_fast_path(a):
         out = _quantile_fast_symmetric(p_arr, params)
     else:
         out = np.array([_quantile_scalar(t, params) for t in p_arr.ravel()]).reshape(p_arr.shape)
@@ -632,53 +559,32 @@ def _quantile_scalar(p, params):
 
 
 # ---------------------------------------------------------------------------
-# sampling and closure laws
+# sampling and closure under averaging
 # ---------------------------------------------------------------------------
 
 def stable_sample(params: StableParams, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` i.i.d. variates by the Chambers-Mallows-Stuck transform.
 
-    Deterministic for a given seed; same convention as :func:`char_fn`.
+    Deterministic for a given seed.  At alpha = 1 the transform is
+    gamma * tan(U) + delta, a Cauchy draw.
     """
     if n < 1:
         raise ConfigError(f"sample size must be >= 1, got {n}")
-    a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
+    a, g, d = params.alpha, params.gamma, params.delta
     rng = np.random.default_rng(seed)
     U = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=n)
     W = rng.exponential(1.0, size=n)
     if a == 1.0:
-        half_pi = np.pi / 2.0
-        Z = ((half_pi + b * U) * np.tan(U)
-             - b * np.log((half_pi * W * np.cos(U)) / (half_pi + b * U))) / half_pi
-        return g * Z + d + (2.0 / np.pi) * b * g * math.log(g)
-    t = b * math.tan(np.pi * a / 2.0)
-    B = math.atan(t) / a
-    S = (1.0 + t * t) ** (1.0 / (2.0 * a))
-    Z = (S * np.sin(a * (U + B)) / np.cos(U) ** (1.0 / a)
-         * (np.cos(U - a * (U + B)) / W) ** ((1.0 - a) / a))
+        return g * np.tan(U) + d
+    Z = (np.sin(a * U) / np.cos(U) ** (1.0 / a)
+         * (np.cos(U - a * U) / W) ** ((1.0 - a) / a))
     return g * Z + d
 
 
 def aggregate_params(params: StableParams, K: int) -> StableParams:
     """Distribution of the mean of K i.i.d. draws: scale shrinks to
-    K^(1/alpha - 1) * gamma.  (At alpha = 1 the scale is unchanged and a
-    skewed law picks up the location term (2/pi) * beta * gamma * ln K from
-    rescaling the sum.)"""
+    K^(1/alpha - 1) * gamma, location stays."""
     if K < 1:
         raise ConfigError(f"K must be >= 1, got {K}")
-    a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
-    if a == 1.0:
-        return StableParams(a, b, g, d + (2.0 / np.pi) * b * g * math.log(K))
-    return StableParams(a, b, g * K ** (1.0 / a - 1.0), d)
-
-
-def sum_params(p1: StableParams, p2: StableParams) -> StableParams:
-    """Parameters of X1 + X2 for independent stable X1, X2 sharing one alpha."""
-    if p1.alpha != p2.alpha:
-        raise ConfigError(
-            f"sum of stable laws requires equal alpha, got {p1.alpha} and {p2.alpha}")
-    a = p1.alpha
-    g1a, g2a = p1.gamma ** a, p2.gamma ** a
-    beta = (p1.beta * g1a + p2.beta * g2a) / (g1a + g2a)
-    gamma = (g1a + g2a) ** (1.0 / a)
-    return StableParams(a, beta, gamma, p1.delta + p2.delta)
+    a, g, d = params.alpha, params.gamma, params.delta
+    return StableParams(a, 0.0, g * K ** (1.0 / a - 1.0), d)

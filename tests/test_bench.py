@@ -46,7 +46,9 @@ PC_ROWS = [
 
 
 def _rows(kind, **extra):
-    flat = {"kind": kind, "gen.n": 300, "test.ek.method": "kcit", "test.ek.nk": 100,
+    # nk_ablation takes its subset sizes from nks, so its method is a plain test
+    ensemble = {} if kind == "nk_ablation" else {"test.ek.nk": 100}
+    flat = {"kind": kind, "gen.n": 300, "test.ek.method": "kcit", **ensemble,
             "reps": 3, "seed": 0, **extra}
     report = run_experiment(build_experiment(flat))
     return [(r.config_id, r.method, r.metric, r.value, r.stderr) for r in report.rows]
@@ -118,6 +120,16 @@ def test_warm_plain_kcit_replicate_allocates_no_n_by_n_array(monkeypatch):
         tracemalloc.stop()
     assert len(peaks) == 3
     assert max(peaks[1:]) < n * n * 8
+
+
+@pytest.mark.parametrize("name, value", [("nk", 100), ("partition_policy", "sequential"),
+                                         ("alpha", 1.5)])
+def test_nk_ablation_rejects_ensemble_settings(name, value):
+    # nks and the fixed alphas override every ensemble key, so none is accepted
+    flat = {"kind": "nk_ablation", "gen.n": 300, "test.ek.method": "kcit",
+            "test.ek.nk": 50, f"test.ek.{name}": value, "nks": [50]}
+    with pytest.raises(ConfigError, match="nks"):
+        build_experiment(flat)
 
 
 @pytest.mark.parametrize("kind", ["alpha_ablation", "combiner_compare"])

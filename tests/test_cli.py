@@ -115,3 +115,68 @@ def test_bench_rejects_an_unknown_method_option_before_running(option, monkeypat
                "--set", f"test.k.{option}", "--set", "reps=1"])
     assert rc == 2
     assert f"test.k.{option.split('=')[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, message", [
+    ("test.k.ridge=2", "ridge must be in (0, 1)"),
+    ("test.k.ridge=small", "bad option value for test.k"),
+    ("test.k.nk=400", "n=200 is smaller than one subset (n_k=400)"),
+    ("test.k.method=oracle", "runs only in pc_bench"),
+])
+def test_bench_rejects_a_bad_option_value_before_running(option, message, monkeypatch,
+                                                          capsys):
+    monkeypatch.setattr(bench, "gen_pnl", None)  # any data generation would raise
+    rc = main(["bench", "type1", "--set", "gen.n=200", "--set", "test.k.method=fisherz",
+               "--set", option, "--set", "reps=2"])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+def test_bench_nk_ablation_rejects_nks_larger_than_n(monkeypatch, capsys):
+    monkeypatch.setattr(bench, "gen_pnl", None)
+    rc = main(["bench", "nk", "--set", "gen.n=200", "--set", "test.k.method=fisherz",
+               "--set", "nks=50,400", "--set", "reps=2"])
+    assert rc == 2
+    assert "n_k=400" in capsys.readouterr().err
+
+
+def _json_out(capsys, argv):
+    assert main(argv + ["--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_stable_json_is_a_list_of_floats(capsys):
+    assert _json_out(capsys, ["stable", "cdf", "--alpha", "1.5", "--delta", "1", "1", "40"]) \
+        == [0.5, pytest.approx(0.99, abs=0.01)]
+    qs = _json_out(capsys, ["stable", "quantile", "--alpha", "2", "--gamma", "2", "0.5", "0.9"])
+    assert qs == [0.0, pytest.approx(2 * np.sqrt(2) * 1.2815515655446004, rel=1e-12)]
+    xs = _json_out(capsys, ["stable", "sample", "--alpha", "1.75", "--n", "3", "--seed", "4"])
+    assert len(xs) == 3 and all(isinstance(x, float) for x in xs)
+
+
+def test_stable_beta_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["stable", "cdf", "--alpha", "1.5", "--beta", "0.5", "0"])
+    assert exc.value.code == 2
+    assert "--beta" in capsys.readouterr().err
+
+
+def test_combine_json_shape(capsys):
+    out = _json_out(capsys, ["combine", "--method", "stable", "0.2", "0.4", "0.7"])
+    assert sorted(out) == ["K", "method", "p_combined", "statistic"]
+    assert out["K"] == 3 and out["method"] == "stable"
+    assert isinstance(out["p_combined"], float) and isinstance(out["statistic"], float)
+
+
+def test_ecit_run_json_shape(chain_csv, capsys):
+    out = _json_out(capsys, ["ecit", "run", "--data", str(chain_csv), "--x", "a", "--y", "c",
+                             "--z", "b", "--method", "fisherz", "--nk", "100"])
+    assert sorted(out) == ["elapsed_s", "method", "n", "p", "statistic", "subtest_ps"]
+    assert out["method"] == "ecit:fisherz" and out["n"] == 400
+    assert len(out["subtest_ps"]) == 4 and 0.0 <= out["p"] <= 1.0
+
+
+def test_pc_run_json_shape(chain_csv, capsys):
+    out = _json_out(capsys, ["pc", "run", "--data", str(chain_csv), "--method", "fisherz"])
+    assert out == {"d": 4, "edges": [["a", "b"], ["b", "c"]],
+                   "sepsets": {"a,c": ["b"], "a,d": [], "b,d": [], "c,d": []}}
