@@ -49,7 +49,9 @@ __all__ = [
 KINDS = ("type1", "power", "runtime", "alpha_ablation", "nk_ablation",
          "combiner_compare", "pc_bench")
 
-_GEN_KEYS = ("n", "d_z", "z_dist", "noise_dist", "noise_df", "beta_x", "p_edge", "d")
+# generator grid keys and the type of their values; an int serves for a float
+_GEN_KEYS = {"n": int, "d_z": int, "z_dist": str, "noise_dist": str, "noise_df": float,
+             "beta_x": float, "p_edge": float, "d": int}
 # test.<label>.<key> entries passed to CITestSpec; the method and seed are set apart
 _OPTION_KEYS = tuple(f.name for f in fields(CITestSpec) if f.name not in ("method", "seed"))
 # pc_bench's sample size when the grid gives none
@@ -88,9 +90,13 @@ class ExperimentConfig:
             raise ConfigError(f"replicate count must be >= 1, got {self.reps}")
         if not (0.0 < self.level < 1.0):
             raise ConfigError(f"level must lie in (0,1), got {self.level}")
-        for key in self.grid:
+        for key, value in self.grid.items():
             if key not in _GEN_KEYS:
                 raise ConfigError(f"unknown generator grid key {key!r}")
+            for v in value if isinstance(value, (list, tuple)) else [value]:
+                if not _is_of_type(v, _GEN_KEYS[key]):
+                    raise ConfigError(f"gen.{key} takes {_GEN_KEYS[key].__name__} values, "
+                                      f"got {v!r}")
         if self.kind == "alpha_ablation" and not self.alphas:
             raise ConfigError("alpha_ablation needs a non-empty alphas list")
         if self.kind == "nk_ablation" and not self.nks:
@@ -119,6 +125,12 @@ class ExperimentConfig:
         keys = sorted(self.grid)
         lists = [v if isinstance(v, (list, tuple)) else [v] for v in (self.grid[k] for k in keys)]
         return [dict(zip(keys, combo)) for combo in product(*lists)]
+
+
+def _is_of_type(value, kind):
+    if kind is str:
+        return isinstance(value, str)
+    return not isinstance(value, bool) and isinstance(value, (int, kind))
 
 
 @dataclass(frozen=True)
@@ -411,7 +423,10 @@ def parse_config_text(text: str) -> dict:
 def _parse_noise(token):
     if isinstance(token, str) and ":" in token:
         dist, _, df = token.partition(":")
-        return dist, float(df)
+        try:
+            return dist, float(df)
+        except ValueError:
+            raise ConfigError(f"gen.noise takes dist or dist:df, got {token!r}") from None
     return token, None
 
 

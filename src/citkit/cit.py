@@ -13,6 +13,10 @@ Conventions shared by the kernel tests:
   factors are fixed per test; see the constants below);
 * the X-side kernel acts on the concatenation (x, z), following the original
   kernel-CI construction — without the augmentation the null is miscalibrated;
+* both end in a feature-space statistic where they can: rcit's features are
+  random Fourier features, kcit's are pivoted-Cholesky factors of its
+  centred Gram matrices wherever their rank stays small, and dense Grams
+  elsewhere (see :func:`kcit`);
 * both tests are calibrated by :mod:`citkit.permnull`: by default on the
   analytic null of the trace statistic (:func:`~citkit.permnull.analytic_null_p`,
   a normal-gamma convolution matched to the exact first four cumulants of the
@@ -65,6 +69,30 @@ _MEDIAN_ROWS = 1000
 # temporaries stay a few rows wide instead of n x n.
 _ROW_BLOCK = 64
 _STRICT_LOWER = np.tri(_ROW_BLOCK, k=-1, dtype=bool)
+
+# kcit factors each block's centred Gram (see _gram_factor) until the trace
+# of the residual falls to _FACTOR_TOL * n.  A block gives its factor up for
+# the dense Gram once the rank passes _RANK_CAP_SHARE * n, and below
+# _FACTOR_MIN_ROWS rows no factor is tried.  Both were set by measurement,
+# on PNL subsets with two subtest threads of one BLAS thread each, as ecit
+# runs them.  Against the dense path the factor path ran 2.6x, 1.6x and
+# 1.15x as many subtests per second at n = 400 with 1, 2 and 3 columns of
+# z, and 1.9x, 1.15x and 1.06x at n = 300; at n = 250 it lost up to 13 %
+# with 2 or 3 columns, and at n = 200 on PC subsets 20-55 % with 0-3.
+# There the dense n^3 work is cheap, and what the factor path adds holds
+# the GIL: a median pdist per block and a Python step per factor column.
+# Memory sets the floor at 350 rows: the factor path allocates n x r arrays
+# and the 64-row blocks of feature_invariants afresh on every call, which
+# passed one n x n array at n = 300 with 1 column of z (725 against 720 KB)
+# and stays below it from 350 rows up at the ranks of blocks with one or
+# two columns (up to about 60).  Memory also sets the cap: at n / 4 the
+# 3-column blocks at n = 400 (rank 125-150) go dense.  A cap of 0.4 n lets
+# the (x, z) block of d_z = 2 factor and ran those subtests 1.4x faster,
+# but a warm call then allocated up to 1.8 MB against 1.28 MB for one
+# n x n array; d_z = 3 gained nothing from it.
+_FACTOR_TOL = 1e-12
+_RANK_CAP_SHARE = 0.25
+_FACTOR_MIN_ROWS = 350
 
 
 def _lapack_routine(name):
@@ -269,16 +297,16 @@ def _spd_inverse(a):
     return a
 
 
-def _gaussian_gram(block, out=None, scratch=None):
+def _gaussian_gram(block, out=None, scratch=None, sigma=None):
     """Gaussian Gram matrix of the rows of ``block``, from one ``pdist`` pass.
 
     The matrix is written into ``out``, a C-contiguous n x n float64 array,
     and the condensed squared distances into the first n (n - 1) / 2 entries
     of ``scratch``, a C-contiguous float64 array; the old contents of both
-    are ignored, and either one missing is allocated.  Up to 1000 rows the
-    bandwidth is selected from a copy of those distances, held in ``out``
-    until the matrix overwrites it; beyond that it comes from the thinned
-    rows of :func:`median_heuristic`.  The kernel is evaluated on the
+    are ignored, and either one missing is allocated.  Without a ``sigma``,
+    up to 1000 rows the bandwidth is selected from a copy of those
+    distances, held in ``out`` until the matrix overwrites it; beyond that
+    it comes from the thinned rows of :func:`median_heuristic`.  The kernel is evaluated on the
     condensed vector, half the entries of the matrix, and scattered into
     ``out`` by the routine ``squareform`` runs after its ``np.zeros``; the
     diagonal is exp(-0.0) = 1.0.
@@ -287,13 +315,12 @@ def _gaussian_gram(block, out=None, scratch=None):
     m = n * (n - 1) // 2
     K = np.empty((n, n)) if out is None else out
     sq = pdist(block, "sqeuclidean", out=None if scratch is None else scratch.reshape(-1)[:m])
-    if n <= _MEDIAN_ROWS:
+    if sigma is None and n <= _MEDIAN_ROWS:
         copy = K.reshape(-1)[:m]
         copy[:] = sq
-        med = _median_distance(copy)
-    else:
-        med = median_heuristic(block)
-    sigma = _KCIT_BANDWIDTH_SCALE * med
+        sigma = _KCIT_BANDWIDTH_SCALE * _median_distance(copy)
+    elif sigma is None:
+        sigma = _KCIT_BANDWIDTH_SCALE * median_heuristic(block)
     np.negative(sq, out=sq)
     sq /= 2.0 * sigma * sigma
     to_squareform_from_vector_wrap(K, np.exp(sq, out=sq))
@@ -305,9 +332,13 @@ class _Workspace:
     """Five n x n float64 buffers that one thread reuses across kcit calls.
 
     :meth:`take` hands out C-contiguous n x n views of them, holding whatever
-    the last call left.  The storage grows to the largest n taken and lives
-    as long as the workspace: at n = 5000 that is 1 GB, so a thread drops its
-    workspace once its batch of subtests is done.
+    the last call left.  kcit takes them only for a dense side, a block whose
+    Gram it does not factor; a call with every block factored takes none, and
+    a workspace that never served a dense side holds no storage.  Factors
+    and what is built from them are n x r arrays allocated per call.  The
+    storage grows to the largest n taken and lives as long as the workspace:
+    at n = 5000 that is 1 GB, so a thread drops its workspace once its batch
+    of subtests is done.
     """
 
     def __init__(self):
@@ -358,61 +389,220 @@ def fisher_z(data):
                        elapsed=time.perf_counter() - t0)
 
 
+def _gram_factor(block, sigma, cap):
+    """Centred pivoted-Cholesky factor of the Gaussian Gram of ``block``, or None.
+
+    Returns an n x r array F whose F F' is within ``_FACTOR_TOL * n`` in trace
+    of the centred Gram H K H for bandwidth ``sigma``, or None once r would
+    pass ``cap``.  K is factored with greedy diagonal pivoting (Bach & Jordan
+    2002) and the columns are centred afterwards: H (K - L L') H is positive
+    semidefinite with a trace no larger than that of K - L L', which the loop
+    drives below the tolerance.  Kernel column j is built on demand by one
+    BLAS product, scale * (|a_i|^2 + |a_j|^2 - 2 a_i . a_j) for every i, and
+    ``exp``.
+    """
+    n, d = block.shape
+    scale = -0.5 / (sigma * sigma)
+    sq = np.einsum("ij,ij->i", block, block)
+    aug = np.empty((n, d + 2))                # rows (a_i, |a_i|^2, 1)
+    aug[:, :d] = block
+    aug[:, d] = sq
+    aug[:, d + 1] = 1.0
+    coef = np.empty((n, d + 2))               # rows scale * (-2 a_j, 1, |a_j|^2)
+    np.multiply(block, -2.0 * scale, out=coef[:, :d])
+    coef[:, d] = scale
+    np.multiply(sq, scale, out=coef[:, d + 1])
+    rows = np.empty((cap, n))                 # row k is column k of L
+    resid = np.ones(n)                        # diagonal of K - L L'; K_ii = 1
+    tmp = np.empty(n)
+    tol = _FACTOR_TOL * n
+    for k in range(cap):
+        j = int(resid.argmax())
+        col = rows[k]
+        np.matmul(aug, coef[j], out=col)
+        np.minimum(col, 0.0, out=col)
+        np.exp(col, out=col)
+        if k:
+            col -= np.matmul(rows[:k, j], rows[:k], out=tmp)
+        col *= 1.0 / math.sqrt(resid[j])
+        resid -= np.square(col, out=tmp)
+        if resid.sum() <= tol:
+            L = rows[:k + 1].T
+            return np.subtract(L, L.mean(axis=0), order="C")
+    return None
+
+
+def _is_dense(side):
+    """A kcit side is a dense n x n matrix, or an n x r factor with r < n."""
+    return side.shape[0] == side.shape[1]
+
+
+def _trace_product(a, b, out):
+    """tr(A B) for two sides, each a dense matrix or a factor e with A = e e'.
+
+    Two dense sides multiply entrywise into ``out``, an n x n buffer.
+    """
+    if _is_dense(a) and _is_dense(b):
+        return float(np.multiply(a, b, out=out).sum())
+    if _is_dense(a):
+        a, b = b, a
+    if _is_dense(b):
+        return float(np.vdot(b @ a, a))
+    c = a.T @ b
+    return float(np.vdot(c, c))
+
+
+def _permuted(side, perm):
+    """The side of A with rows and columns permuted by ``perm``."""
+    return side[np.ix_(perm, perm)] if _is_dense(side) else side[perm]
+
+
 def kcit(data, spec=None, *, _workspace=None):
     """Kernel CI test: trace statistic of z-regressed kernels, permutation-cumulant null.
 
-    With d_z > 0 the regression on z is Rz = eps (Kz + eps I)^-1 with
-    eps = ridge * n, from LAPACK's Cholesky factorization and inverse
-    (:func:`_spd_inverse`).  Rz is exactly symmetric.
+    The statistic is tr(A B) with A = Rz Kxz Rz and B = Rz Ky Rz, where Kxz
+    and Ky are the centred Gaussian Grams of (x, z) and y, and
+    Rz = eps (Kz + eps I)^-1 with eps = ridge * n is the ridge regression on
+    z (Rz = I when d_z = 0).
 
-    Memory: five n x n buffers, from ``_workspace`` (a :class:`_Workspace`)
-    or a fresh one.  Kz, then Rz, takes the first; A and B the next two; the
-    fourth holds each Gram's condensed distances and then the Rz K product;
-    the statistic's A * B goes into the dead Rz buffer; and the invariants'
-    M @ M, M * M and product buffer go into the Rz, fourth and fifth ones.
-    Outside the sampled permutation null nothing else n x n is allocated,
-    so a thread that reuses one workspace across calls does not fault fresh
-    pages in on every call.
+    Each Gram is first factored as L L' (:func:`_gram_factor`); z first,
+    then (x, z) and y.  From 350 rows up a block keeps its factor while its
+    rank stays at most n / 4; below 350 rows, or past the cap, its Gram is
+    built dense.  Below 350 rows the dense path is the lighter one in fresh
+    memory, and at 250 rows and fewer also the faster one on two threads; a
+    block whose rank passes n / 4 (at n = 400, any block with three columns)
+    goes dense, because a higher cap takes more than one n x n array of
+    fresh memory.  ``_RANK_CAP_SHARE`` and ``_FACTOR_MIN_ROWS`` record the
+    measurements.  A factored z applies Rz by Woodbury,
+    Rz = I - Lz (Lz' Lz + eps I)^-1 Lz', with that r_z x r_z inverse from
+    :func:`_spd_inverse`.  A dense z inverts Kz + eps I the same way, n x n,
+    and (x, z), whose rank is at least that of z, is then built dense
+    without a try.  A factored side becomes e = Rz L, with A = e e', and a
+    dense side the n x n matrix A.  The statistic is |ex' ey|^2_F for two
+    factors, e' A e for one, and sum(A * B) for none, and the invariants of
+    the null come from :func:`~citkit.permnull.feature_invariants` for a
+    factor and :func:`~citkit.permnull.dense_invariants` for a dense side.
+    With every block dense, the arithmetic is the dense test's, step for
+    step.  With ``permutations > 0`` the sampled null permutes the rows of
+    ex, or both axes of a dense A.
 
-    Threads: the ridge inverse, the products with Rz (BLAS) and numpy's
-    n x n elementwise work run with the GIL released, so subtests on
-    several threads overlap them.  What holds it is one scipy ``pdist`` and
-    one ``squareform`` scatter per Gram matrix (the bandwidth selection
-    reuses that ``pdist``), the Python glue, the cumulant tables and the
-    null tail.  A workspace must not be shared by two threads at once.
+    Memory: n x n buffers are taken only for dense sides, the five of
+    ``_workspace`` (a :class:`_Workspace`, or a fresh one): Kz, then Rz, the
+    first; A and B the next two; the fourth holds each Gram's condensed
+    distances and then the product with Rz; the statistic's A * B goes into
+    the dead Rz buffer; and the invariants' M @ M, M * M and product buffer
+    go into the Rz, fourth and fifth ones.  A call with every block factored
+    takes none of them.  The factor path allocates afresh: a factor of n x r
+    floats (up to n x n / 4 while it grows), the n (n - 1) / 2 distances of
+    its median bandwidth, freed before the factor starts, and the n x r and
+    64-row buffers of the feature invariants.  At the ranks of blocks with
+    one or two columns that stays below one n x n array, so a thread that
+    reuses one workspace across calls faults no n x n array in on a warm
+    call.  The sampled permutation null allocates more.
+
+    Threads: each kernel column of a factor is one BLAS product and an
+    ``exp``, and the products with Rz (BLAS), the ridge inverses (LAPACK)
+    and numpy's n x n elementwise work all run with the GIL released, so
+    subtests on several threads overlap them.  What holds it is the
+    ``pdist`` behind each block's median bandwidth, the ``squareform``
+    scatter of each dense Gram, the Python step between two factor columns,
+    the cumulant tables and the null tail.  A workspace must not be shared
+    by two threads at once.
     """
     t0 = time.perf_counter()
     spec = spec or CITestSpec(method="kcit")
     n, dz = data.n, data.z.shape[1]
     if n > 5000:
         raise ConfigError(f"kcit is cubic in n; refusing n={n} > 5000 (use an ensemble)")
-    x = _standardize(data.x, "x")
-    y = _standardize(data.y, "y")
-    Rz, A, B, tmp, spare = (_workspace or _Workspace()).take(n)
-    if dz:
-        z = _standardize(data.z, "z")
-        _center(_gaussian_gram(z, out=Rz, scratch=tmp))
-        eps = spec.ridge * n
-        Rz.flat[::n + 1] += eps
-        _spd_inverse(Rz)
-        Rz *= eps
-        for K, block in ((A, np.hstack([x, z])), (B, y)):
-            _center(_gaussian_gram(block, out=K, scratch=tmp))
-            np.matmul(np.matmul(Rz, K, out=tmp), Rz, out=K)
-    else:
-        _center(_gaussian_gram(x, out=A, scratch=tmp))
-        _center(_gaussian_gram(y, out=B, scratch=tmp))
-
-    stat = float(np.multiply(A, B, out=Rz).sum())
+    workspace = _workspace or _Workspace()
+    sides = _kcit_sides(_standardize(data.x, "x"), _standardize(data.y, "y"),
+                        _standardize(data.z, "z") if dz else None, spec.ridge * n, workspace)
+    dense = [_is_dense(side) for side in sides]
+    out = workspace.take(n)[0] if all(dense) else None
+    stat = _trace_product(*sides, out)
     if spec.permutations > 0:
-        p, flags = sampled_null_p(stat, lambda perm: (A[np.ix_(perm, perm)] * B).sum(),
+        a, b = sides
+        p, flags = sampled_null_p(stat, lambda perm: _trace_product(_permuted(a, perm), b, out),
                                   n, spec.permutations, spec.seed)
     else:
-        scratch = (Rz, tmp, spare)
-        p, flags = analytic_null_p(stat, dense_invariants(A, _scratch=scratch),
-                                   dense_invariants(B, _scratch=scratch), n)
+        scratch = [workspace.take(n)[i] for i in (0, 3, 4)] if any(dense) else None
+
+        def invariants(side):
+            if _is_dense(side):
+                return dense_invariants(side, _scratch=scratch)
+            return feature_invariants(side)
+        # each side is let go once its invariants are taken, y's side first
+        inv_b = invariants(sides.pop())
+        inv_a = invariants(sides.pop())
+        p, flags = analytic_null_p(stat, inv_a, inv_b, n)
     return TestOutcome(p=p, statistic=stat, method="kcit", n_used=n,
                        elapsed=time.perf_counter() - t0, flags=flags)
+
+
+def _kcit_sides(x, y, z, eps, workspace):
+    """kcit's two sides, for (x, z) and y: each a factor Rz L or a dense Rz K Rz.
+
+    ``z`` is None for d_z = 0, where Rz = I.  Dense sides use the five n x n
+    buffers of ``workspace``, as :func:`kcit` describes.  The z-side factor
+    and inverse go out of scope on return.
+    """
+    n = x.shape[0]
+    cap = int(_RANK_CAP_SHARE * n) if n >= _FACTOR_MIN_ROWS else 0
+
+    def factor(block):
+        """(factor or None, the bandwidth it used or None)."""
+        if not cap:
+            return None, None
+        sigma = _KCIT_BANDWIDTH_SCALE * median_heuristic(block)
+        return _gram_factor(block, sigma, cap), sigma
+
+    def residualize(L):
+        return L
+
+    def regress(K, tmp):
+        return K
+
+    blocks = ((x, True), (y, True))
+    if z is not None:
+        Lz, sigma = factor(z)
+        if Lz is None:
+            Rz, _, _, tmp, _ = workspace.take(n)
+            _center(_gaussian_gram(z, out=Rz, scratch=tmp, sigma=sigma))
+            Rz.flat[::n + 1] += eps
+            _spd_inverse(Rz)
+            Rz *= eps
+
+            def residualize(L):
+                return Rz @ L
+
+            def regress(K, tmp):
+                return np.matmul(np.matmul(Rz, K, out=tmp), Rz, out=K)
+        else:
+            W = Lz.T @ Lz
+            W.flat[::W.shape[0] + 1] += eps
+            _spd_inverse(W)
+
+            def residualize(L):
+                return L - Lz @ (W @ (Lz.T @ L))
+
+            def regress(K, tmp):
+                K -= np.matmul(Lz, W @ (Lz.T @ K), out=tmp)       # Rz K
+                K -= np.matmul(K @ Lz @ W, Lz.T, out=tmp)         # (Rz K) Rz
+                return K
+        # a dense z leaves (x, z), whose rank is at least that of z, untried
+        blocks = ((np.hstack([x, z]), Lz is not None), (y, True))
+
+    sides = []
+    for i, (block, tried) in enumerate(blocks):
+        L, sigma = factor(block) if tried else (None, None)
+        if L is None:
+            bufs = workspace.take(n)
+            K = _center(_gaussian_gram(block, out=bufs[1 + i], scratch=bufs[3], sigma=sigma))
+            sides.append(regress(K, bufs[3]))
+        else:
+            sides.append(residualize(L))
+        del L  # free the raw factor before the next block's is built
+    return sides
 
 
 def _rff(block, n_features, sigma, rng):

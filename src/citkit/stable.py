@@ -11,11 +11,14 @@ ensemble and every combiner pool p-values with a symmetric law only.
 CDF evaluation strategy
 -----------------------
 * closed forms for alpha = 2 (Gaussian) and alpha = 1 (Cauchy);
-* for alpha in [1.05, 1.995], the fast path: a vectorized three-zone scheme
+* for alpha in [1.05, 1.99], the fast path: a vectorized three-zone scheme
   (power series around the origin, a cached Chebyshev interpolant on the
   mid band, asymptotic tail series).  Where the band meets the tail
   series the CDF jumps by less than 2e-14 on a grid of alpha in
-  [1.05, 1.99] with step 0.01, but by 1.5e-9 at alpha = 1.995;
+  [1.05, 1.99] with step 0.01; where the origin series meets the band it
+  jumps by up to about 4e-13, the rounding of the series' largest terms
+  near the end of its zone.  Closer to alpha = 2 the band and the tail
+  series part: by 1.5e-9 at alpha = 1.995, so the fast path stops at 1.99;
 * every other alpha: adaptive quadrature of Nolan's single-integral
   representation, point by point.
 
@@ -34,7 +37,7 @@ the fast path the tail zone inverts its series directly (Newton's method in
 below the tail zone a cubic Hermite interpolant of the inverse CDF, built
 with the table, gives a start, and one Newton step with the density
 finishes it: |F(q) - p| stays within about 2e-13 for alpha in
-[1.05, 1.995].  Every other alpha uses a bracketed root search on the CDF.
+[1.05, 1.99].  Every other alpha uses a bracketed root search on the CDF.
 """
 
 from __future__ import annotations
@@ -433,8 +436,9 @@ def _symmetric_machine(alpha: float) -> _SymmetricMachine:
 
 
 def _has_fast_path(alpha: float) -> bool:
-    # below ~1.05 the origin series converges too slowly for a useful zone
-    return 1.05 <= alpha <= 1.995
+    # below ~1.05 the origin series converges too slowly for a useful zone;
+    # above 1.99 the band and tail series disagree where they meet
+    return 1.05 <= alpha <= 1.99
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,14 @@ from scipy import stats
 from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import pdist, squareform
 
+from citkit import cit
 from citkit.cit import (
     CITestSpec,
     _center,
     _gaussian_gram,
+    _gram_factor,
     _spd_inverse,
+    _standardize,
     _Workspace,
     DataTriple,
     fisher_z,
@@ -33,6 +36,7 @@ from citkit.cit import (
 from citkit.cit import TestOutcome as CitOutcome
 from citkit.datagen import PnlConfig, gen_pnl
 from citkit.errors import ConfigError, DataError, NumericalError
+from citkit.permnull import analytic_null_p, dense_invariants, sampled_null_p
 
 
 def _rep_seed(*key):
@@ -323,6 +327,118 @@ class TestKcit:
             got, want = kcit(data, _workspace=workspace), kcit(data)
             assert (got.p.hex(), got.statistic.hex(), got.flags) == \
                 (want.p.hex(), want.statistic.hex(), want.flags)
+
+
+def dense_kcit(data, spec=CITestSpec(method="kcit")):
+    """kcit with every Gram built dense: (p, statistic, flags).
+
+    The arithmetic kcit had before its factor path, step for step, so a kcit
+    whose blocks all give their factors up must agree with it bit for bit.
+    """
+    n = data.n
+    x, y = _standardize(data.x, "x"), _standardize(data.y, "y")
+    if data.z.shape[1]:
+        z = _standardize(data.z, "z")
+        eps = spec.ridge * n
+        Rz = _center(_gaussian_gram(z))
+        Rz.flat[::n + 1] += eps
+        Rz = _spd_inverse(Rz) * eps
+        A = Rz @ _center(_gaussian_gram(np.hstack([x, z]))) @ Rz
+        B = Rz @ _center(_gaussian_gram(y)) @ Rz
+    else:
+        A, B = _center(_gaussian_gram(x)), _center(_gaussian_gram(y))
+    stat = float((A * B).sum())
+    if spec.permutations:
+        p, flags = sampled_null_p(stat, lambda perm: (A[np.ix_(perm, perm)] * B).sum(),
+                                  n, spec.permutations, spec.seed)
+    else:
+        p, flags = analytic_null_p(stat, dense_invariants(A), dense_invariants(B), n)
+    return p, stat, flags
+
+
+def _pnl_triple(n, d_z, hypothesis, seed):
+    data = gen_pnl(PnlConfig(hypothesis=hypothesis, n=n, d_z=max(d_z, 1), seed=seed))
+    return data if d_z else DataTriple(data.x, data.y, None)
+
+
+class TestFactorPath:
+    """kcit's pivoted-Cholesky factors against the dense Grams they replace."""
+
+    @pytest.mark.parametrize("n", [200, 400])
+    @pytest.mark.parametrize("d_z", [0, 1, 3])
+    @pytest.mark.parametrize("hypothesis", ["H0", "H1"])
+    def test_p_within_1e_10_of_the_dense_test(self, n, d_z, hypothesis, monkeypatch):
+        # n = 200 is below the size where kcit factors, so it is also run
+        # with factoring forced from 8 rows up
+        for min_rows in sorted({cit._FACTOR_MIN_ROWS, 8}):
+            monkeypatch.setattr(cit, "_FACTOR_MIN_ROWS", min_rows)
+            for seed in range(10):
+                data = _pnl_triple(n, d_z, hypothesis, seed)
+                p, stat, flags = dense_kcit(data)
+                out = kcit(data)
+                assert abs(out.p - p) <= 1e-10
+                assert out.statistic == pytest.approx(stat, rel=1e-8)
+                assert out.flags == flags
+
+    @pytest.mark.parametrize("d_z", [0, 1, 2, 3])
+    def test_factor_matches_the_centred_gram_within_the_tolerance(self, d_z):
+        n = 400
+        data = gen_pnl(PnlConfig(hypothesis="H1", n=n, d_z=max(d_z, 1), seed=31))
+        block = _standardize(data.y if not d_z else data.z[:, :d_z], "block")
+        sigma = 2.0 * median_heuristic(block)
+        L = _gram_factor(block, sigma, n)
+        assert L.shape[1] < n
+        residual = _center(_gaussian_gram(block)) - L @ L.T
+        # the residual is positive semidefinite up to rounding, so its trace
+        # bounds every entry
+        assert -1e-12 * n <= np.trace(residual) <= 1e-12 * n
+        assert np.abs(residual).max() <= 1e-12 * n
+        assert np.abs(L.sum(axis=0)).max() <= 1e-10
+
+    @pytest.mark.parametrize("d_z", [0, 1])
+    def test_warm_factored_call_allocates_less_than_one_n_by_n_array(self, d_z):
+        data = _pnl_triple(400, d_z, "H1", seed=35)
+        workspace = _Workspace()
+        kcit(data, _workspace=workspace)
+        tracemalloc.start()
+        try:
+            kcit(data, _workspace=workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400 * 400 * 8
+
+    @pytest.mark.parametrize("columns", [(6, 6, 0), (6, 6, 6), (1, 6, 0), (6, 1, 0),
+                                         (1, 1, 6)])
+    def test_blocks_past_the_cap_take_the_dense_path(self, columns):
+        # six independent columns give a Gram of rank near n: every block
+        # with six gives its factor up, and with none factored the test is
+        # the dense one bit for bit
+        rng = np.random.default_rng(33)
+        dx, dy, dz = columns
+        x = rng.standard_normal((400, dx))
+        y = x[:, :1] ** 2 + rng.standard_normal((400, dy))
+        z = rng.standard_normal((400, dz)) if dz else None
+        data = DataTriple(x, y, z)
+        p, stat, flags = dense_kcit(data)
+        out = kcit(data)
+        if 1 not in columns:
+            assert (out.p.hex(), out.statistic.hex(), out.flags) == (p.hex(), stat.hex(), flags)
+        else:
+            assert abs(out.p - p) <= 1e-10
+            assert out.statistic == pytest.approx(stat, rel=1e-8)
+
+    @pytest.mark.parametrize("columns", [(1, 1, 1), (1, 1, 3), (1, 6, 0)])
+    def test_sampled_null_equals_the_dense_one(self, columns):
+        rng = np.random.default_rng(34)
+        dx, dy, dz = columns
+        x = rng.standard_normal((400, dx))
+        y = np.tanh(x[:, :1]) + rng.standard_normal((400, dy))
+        data = DataTriple(x, y, rng.standard_normal((400, dz)) if dz else None)
+        spec = CITestSpec(method="kcit", permutations=60, seed=7)
+        p, _, flags = dense_kcit(data, spec)
+        out = kcit(data, spec)
+        assert (out.p, out.flags) == (p, flags)
 
 
 def _ridge_matrix(n, d_z, seed):

@@ -132,6 +132,22 @@ def test_bench_rejects_a_bad_option_value_before_running(option, message, monkey
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("settings, message", [
+    (["gen.n=abc"], "gen.n takes int values, got 'abc'"),
+    # an ensemble reaches the subset-size check, which reads gen.n too
+    (["gen.n=abc", "test.k.nk=50"], "gen.n takes int values, got 'abc'"),
+    (["gen.noise=student_t:x"], "gen.noise takes dist or dist:df, got 'student_t:x'"),
+])
+def test_bench_rejects_a_non_numeric_generator_value_before_running(settings, message,
+                                                                   monkeypatch, capsys):
+    monkeypatch.setattr(bench, "gen_pnl", None)
+    argv = ["bench", "type1", "--set", "test.k.method=fisherz", "--set", "reps=1"]
+    for item in settings:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_bench_nk_ablation_rejects_nks_larger_than_n(monkeypatch, capsys):
     monkeypatch.setattr(bench, "gen_pnl", None)
     rc = main(["bench", "nk", "--set", "gen.n=200", "--set", "test.k.method=fisherz",

@@ -239,6 +239,13 @@ class TestQuantile:
         for pr, qv in zip(probs, vec):
             assert qv == pytest.approx(stable_quantile(float(pr), p), abs=1e-10)
 
+    def test_alpha_above_1_99_round_trips_off_the_fast_path(self):
+        assert stable._has_fast_path(1.99) and not stable._has_fast_path(1.995)
+        params = std(1.995)
+        probs = np.array([1e-6, 0.01, 0.3, 0.5, 0.8, 1.0 - 1e-6])
+        q = stable_quantile(probs, params)
+        assert np.abs(stable_cdf(q, params) - probs).max() <= 1e-10
+
     @pytest.mark.parametrize("alpha", [1.5, 1.75, 1.95])
     def test_far_tail_relative_accuracy(self, alpha):
         # ecit clamps saturated subtests to 1e-12, so the deep tail is common
@@ -318,6 +325,16 @@ class TestSymmetricMachine:
         h = 1e-5
         slope = (m.cdf(z + h) - m.cdf(z - h)) / (2.0 * h)
         assert_allclose(m.pdf(z), slope, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("alpha", [1.95, 1.97, 1.99])
+    def test_cdf_is_continuous_where_the_zones_meet(self, alpha):
+        # band and tail series meet within 1e-13 up to alpha = 1.99 (1.5e-9 at
+        # 1.995); the origin series meets the band within the rounding of its
+        # largest terms, 4.2e-13 at worst on alpha in [1.5, 1.99]
+        m = stable._symmetric_machine(alpha)
+        for edge, tol in ((m._x_tail, 1e-13), (m._x_taylor, 5e-13)):
+            below, above = m.cdf(edge * np.array([1.0 - 1e-15, 1.0 + 1e-15]))
+            assert abs(above - below) <= tol
 
     @pytest.mark.parametrize("alpha", [1.05, 1.3, 1.75, 1.95, 1.995])
     def test_central_quantile_residual(self, alpha):
