@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cython_lapack
+from scipy.linalg import cho_factor, cho_solve, cython_blas, cython_lapack
 from scipy.spatial._distance_wrap import to_squareform_from_vector_wrap
 from scipy.spatial.distance import pdist
 from scipy.special import ndtr
@@ -70,51 +70,75 @@ _MEDIAN_ROWS = 1000
 _ROW_BLOCK = 64
 _STRICT_LOWER = np.tri(_ROW_BLOCK, k=-1, dtype=bool)
 
-# kcit factors each block's centred Gram (see _gram_factor) until the trace
-# of the residual falls to _FACTOR_TOL * n.  A block gives its factor up for
-# the dense Gram once the rank passes _RANK_CAP_SHARE * n, and below
-# _FACTOR_MIN_ROWS rows no factor is tried.  Both were set by measurement,
-# on PNL subsets with two subtest threads of one BLAS thread each, as ecit
-# runs them.  Against the dense path the factor path ran 2.6x, 1.6x and
-# 1.15x as many subtests per second at n = 400 with 1, 2 and 3 columns of
-# z, and 1.9x, 1.15x and 1.06x at n = 300; at n = 250 it lost up to 13 %
-# with 2 or 3 columns, and at n = 200 on PC subsets 20-55 % with 0-3.
-# There the dense n^3 work is cheap, and what the factor path adds holds
-# the GIL: a median pdist per block and a Python step per factor column.
-# Memory sets the floor at 350 rows: the factor path allocates n x r arrays
-# and the 64-row blocks of feature_invariants afresh on every call, which
-# passed one n x n array at n = 300 with 1 column of z (725 against 720 KB)
-# and stays below it from 350 rows up at the ranks of blocks with one or
-# two columns (up to about 60).  Memory also sets the cap: at n / 4 the
-# 3-column blocks at n = 400 (rank 125-150) go dense.  A cap of 0.4 n lets
-# the (x, z) block of d_z = 2 factor and ran those subtests 1.4x faster,
-# but a warm call then allocated up to 1.8 MB against 1.28 MB for one
-# n x n array; d_z = 3 gained nothing from it.
+# kcit factors each block's centred Gram until the trace of the residual
+# falls to _FACTOR_TOL * n.
+#
+# z is factored at every n, by LAPACK dpstrf on its dense Gram (_z_factor),
+# and keeps its factor while its rank stays at most _Z_RANK_CAP_SHARE * n;
+# past the cap Rz is inverted dense.  On one BLAS thread, kcit with the z
+# factor and the Woodbury update broke even with kcit whose z went dense
+# after the same dpstrf at a z rank of about 0.67 n (n = 200) and 0.72 n
+# (n = 400), and won below: 1.4x at 0.4 n and n = 400.  The cap sits below
+# both at 0.6 n because W fits after Lz' in one workspace buffer, and C Q'
+# after C in another, only while the rank is at most 0.618 n.  The
+# benchmark's z ranks are 13-114 at n = 200 and about 13 and 157-159 at
+# n = 400.
+#
+# The x and y blocks keep the greedy factor (_gram_factor): a block gives it
+# up for the dense Gram once the rank passes _RANK_CAP_SHARE * n, and below
+# _FACTOR_MIN_ROWS rows it is not tried.  Both were set by measurement with
+# a greedy z factor, on PNL subsets with two subtest threads of one BLAS
+# thread each, as ecit runs them.  Against the dense path the factor path
+# ran 2.6x, 1.6x and 1.15x as many subtests per second at n = 400 with 1, 2
+# and 3 columns of z, and 1.9x, 1.15x and 1.06x at n = 300; at n = 250 it
+# lost up to 13 % with 2 or 3 columns, and at n = 200 on PC subsets 20-55 %
+# with 0-3.  There the dense n^3 work is cheap, and what the greedy factor
+# adds holds the GIL: a median pdist per block and a Python step per factor
+# column.  Memory set the floor at 350 rows while feature_invariants
+# allocated its 64-row blocks on every call: a warm call then passed one
+# n x n array at n = 300 with 1 column of z (725 against 720 KB).  Memory
+# also set the cap: at n / 4 the 3-column blocks at n = 400 (rank 125-150)
+# go dense.  A cap of 0.4 n let the (x, z) block of d_z = 2 factor and ran
+# those subtests 1.4x faster, but a warm call then allocated up to 1.8 MB
+# against 1.28 MB for one n x n array; d_z = 3 gained nothing from it.
 _FACTOR_TOL = 1e-12
 _RANK_CAP_SHARE = 0.25
 _FACTOR_MIN_ROWS = 350
+_Z_RANK_CAP_SHARE = 0.6
 
 
-def _lapack_routine(name):
-    """LAPACK routine ``name`` from scipy's Cython table, callable by ctypes.
+def _scipy_routine(table, name, *argtypes):
+    """BLAS or LAPACK routine ``name`` from scipy's Cython ``table``, callable by ctypes.
 
-    The table holds the raw function pointers behind ``scipy.linalg``, as
-    capsules.  A ``CFUNCTYPE`` call releases the GIL while LAPACK runs, which
-    scipy's own wrappers do not, so concurrent subtests overlap their work.
-    Only routines with the ``(uplo, n, a, lda, info)`` signature are bound.
+    ``cython_blas`` and ``cython_lapack`` hold the raw function pointers
+    behind ``scipy.linalg``, as capsules; ``argtypes`` is the routine's
+    Fortran signature, every argument by pointer.  A
+    ``CFUNCTYPE`` call releases the GIL while the routine runs, which scipy's
+    own wrappers do not, so concurrent subtests overlap their work.
     """
-    capsule = cython_lapack.__pyx_capi__[name]
+    capsule = table.__pyx_capi__[name]
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi))
-    c_int_p = ctypes.POINTER(ctypes.c_int)
-    prototype = ctypes.CFUNCTYPE(None, ctypes.c_char_p, c_int_p, ctypes.c_void_p, c_int_p, c_int_p)
+    prototype = ctypes.CFUNCTYPE(None, *argtypes)
     return prototype(get_pointer(capsule, get_name(capsule)))
 
 
-_DPOTRF = _lapack_routine("dpotrf")
-_DPOTRI = _lapack_routine("dpotri")
+_CHAR, _ARRAY = ctypes.c_char_p, ctypes.c_void_p
+_INT, _DOUBLE = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+# (uplo, n, a, lda, info)
+_DPOTRF = _scipy_routine(cython_lapack, "dpotrf", _CHAR, _INT, _ARRAY, _INT, _INT)
+_DPOTRI = _scipy_routine(cython_lapack, "dpotri", _CHAR, _INT, _ARRAY, _INT, _INT)
+# (uplo, n, a, lda, piv, rank, tol, work, info)
+_DPSTRF = _scipy_routine(cython_lapack, "dpstrf", _CHAR, _INT, _ARRAY, _INT, _ARRAY, _INT,
+                         _DOUBLE, _ARRAY, _INT)
+# (transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+_DGEMM = _scipy_routine(cython_blas, "dgemm", _CHAR, _CHAR, _INT, _INT, _INT, _DOUBLE, _ARRAY,
+                        _INT, _ARRAY, _INT, _DOUBLE, _ARRAY, _INT)
+# (uplo, trans, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+_DSYR2K = _scipy_routine(cython_blas, "dsyr2k", _CHAR, _CHAR, _INT, _INT, _DOUBLE, _ARRAY, _INT,
+                         _ARRAY, _INT, _DOUBLE, _ARRAY, _INT)
 
 
 def _as_block(arr, name):
@@ -272,6 +296,12 @@ def _center(K):
     return K
 
 
+def _check_square(a, caller):
+    """Raise ValueError unless ``a`` is a C-contiguous float64 square array."""
+    if a.dtype != np.float64 or a.ndim != 2 or a.shape[0] != a.shape[1] or not a.flags.c_contiguous:
+        raise ValueError(f"{caller} needs a C-contiguous float64 square array")
+
+
 def _spd_inverse(a):
     """Invert the symmetric positive definite ``a`` in place and return it.
 
@@ -281,20 +311,51 @@ def _spd_inverse(a):
     C order.  The result is mirrored into the lower one and is exactly
     symmetric.
     """
-    if a.dtype != np.float64 or a.ndim != 2 or a.shape[0] != a.shape[1] or not a.flags.c_contiguous:
-        raise ValueError("_spd_inverse needs a C-contiguous float64 square array")
+    _check_square(a, "_spd_inverse")
     n = a.shape[0]
     size, info = ctypes.c_int(n), ctypes.c_int(0)
     for routine, step in ((_DPOTRF, "Cholesky factorization"), (_DPOTRI, "inversion")):
         routine(b"L", size, a.ctypes.data, size, info)
         if info.value != 0:
             raise NumericalError(f"{step} of the {n} x {n} ridge matrix failed (LAPACK info {info.value})")
+    return _mirror_upper(a)
+
+
+def _mirror_upper(a):
+    """Copy the upper triangle of the C-contiguous square ``a`` into its lower one."""
+    n = a.shape[0]
     for lo in range(0, n, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, n)
         a[lo:hi, :lo] = a[:lo, lo:hi].T
         diag = a[lo:hi, lo:hi]
         np.copyto(diag, diag.T, where=_STRICT_LOWER[:hi - lo, :hi - lo])
     return a
+
+
+def _pivoted_cholesky(a, tol):
+    """Factor the positive semidefinite ``a`` in place by LAPACK ``dpstrf``: (rank, pivots).
+
+    ``a`` is a C-contiguous float64 square array with equal triangles.  The
+    factorization stops once the largest pivot left is at most ``tol``, so
+    the residual's trace is at most n * tol.  With r the rank and p the
+    0-based pivots, row k < r of ``a`` then holds column k of the factor L
+    (a[p][:, p] = L L' up to the residual) in its entries k to n - 1; the
+    entries left of the diagonal keep what they held.  The GIL is released
+    while LAPACK runs.  LAPACK's info > 0 only says that ``a`` has rank
+    below n; info < 0 raises ``NumericalError``.
+    """
+    _check_square(a, "_pivoted_cholesky")
+    n = a.shape[0]
+    piv = np.empty(n, dtype=np.intc)
+    work = np.empty(2 * n)
+    size, rank, info = ctypes.c_int(n), ctypes.c_int(0), ctypes.c_int(0)
+    _DPSTRF(b"L", size, a.ctypes.data, size, piv.ctypes.data, rank, ctypes.c_double(tol),
+            work.ctypes.data, info)
+    if info.value < 0:
+        raise NumericalError(f"pivoted Cholesky of the {n} x {n} Gram failed "
+                             f"(LAPACK info {info.value})")
+    piv -= 1
+    return rank.value, piv
 
 
 def _gaussian_gram(block, out=None, scratch=None, sigma=None):
@@ -329,26 +390,25 @@ def _gaussian_gram(block, out=None, scratch=None, sigma=None):
 
 
 class _Workspace:
-    """Five n x n float64 buffers that one thread reuses across kcit calls.
+    """Up to five n x n float64 buffers that one thread reuses across kcit calls.
 
-    :meth:`take` hands out C-contiguous n x n views of them, holding whatever
-    the last call left.  kcit takes them only for a dense side, a block whose
-    Gram it does not factor; a call with every block factored takes none, and
-    a workspace that never served a dense side holds no storage.  Factors
-    and what is built from them are n x r arrays allocated per call.  The
-    storage grows to the largest n taken and lives as long as the workspace:
-    at n = 5000 that is 1 GB, so a thread drops its workspace once its batch
-    of subtests is done.
+    :meth:`take` hands out a C-contiguous n x n view of buffer ``i``, holding
+    whatever the last call left, and allocates only the buffers that are
+    taken; :func:`kcit` lists which calls take which.  Each buffer grows to
+    the largest n it is taken for and lives as long as the workspace: at
+    n = 5000 the five are 1 GB, so a thread drops its workspace once its
+    batch of subtests is done.
     """
 
     def __init__(self):
-        self._flat = ()
+        self._flat = [None] * 5
 
-    def take(self, n):
-        if not self._flat or self._flat[0].size < n * n:
-            self._flat = ()  # free the old storage before the new is allocated
-            self._flat = tuple(np.empty(n * n) for _ in range(5))
-        return tuple(f[:n * n].reshape(n, n) for f in self._flat)
+    def take(self, n, i):
+        flat = self._flat[i]
+        if flat is None or flat.size < n * n:
+            self._flat[i] = None  # free the old storage before the new is allocated
+            self._flat[i] = flat = np.empty(n * n)
+        return flat[:n * n].reshape(n, n)
 
 
 def fisher_z(data):
@@ -465,49 +525,52 @@ def kcit(data, spec=None, *, _workspace=None):
     Rz = eps (Kz + eps I)^-1 with eps = ridge * n is the ridge regression on
     z (Rz = I when d_z = 0).
 
-    Each Gram is first factored as L L' (:func:`_gram_factor`); z first,
-    then (x, z) and y.  From 350 rows up a block keeps its factor while its
-    rank stays at most n / 4; below 350 rows, or past the cap, its Gram is
-    built dense.  Below 350 rows the dense path is the lighter one in fresh
-    memory, and at 250 rows and fewer also the faster one on two threads; a
-    block whose rank passes n / 4 (at n = 400, any block with three columns)
-    goes dense, because a higher cap takes more than one n x n array of
-    fresh memory.  ``_RANK_CAP_SHARE`` and ``_FACTOR_MIN_ROWS`` record the
-    measurements.  A factored z applies Rz by Woodbury,
-    Rz = I - Lz (Lz' Lz + eps I)^-1 Lz', with that r_z x r_z inverse from
-    :func:`_spd_inverse`.  A dense z inverts Kz + eps I the same way, n x n,
-    and (x, z), whose rank is at least that of z, is then built dense
-    without a try.  A factored side becomes e = Rz L, with A = e e', and a
-    dense side the n x n matrix A.  The statistic is |ex' ey|^2_F for two
-    factors, e' A e for one, and sum(A * B) for none, and the invariants of
-    the null come from :func:`~citkit.permnull.feature_invariants` for a
-    factor and :func:`~citkit.permnull.dense_invariants` for a dense side.
-    With every block dense, the arithmetic is the dense test's, step for
-    step.  With ``permutations > 0`` the sampled null permutes the rows of
-    ex, or both axes of a dense A.
+    z comes first, at every n: its Gram is built dense and factored in place
+    by LAPACK ``dpstrf`` (:func:`_z_factor`).  While the rank r_z stays at
+    most 0.6 n, z keeps its factor Lz and Rz = I - Lz W Lz' by Woodbury,
+    with the r_z x r_z inverse W from :func:`_spd_inverse`; past that cap,
+    Kz + eps I is inverted dense, n x n.  The (x, z) and y blocks are then
+    factored by greedy pivoted Cholesky (:func:`_gram_factor`) from 350 rows
+    up while their rank stays at most n / 4, and otherwise built dense;
+    (x, z), whose rank is at least z's, is built dense without a try when
+    r_z passes n / 4.  ``_Z_RANK_CAP_SHARE``, ``_RANK_CAP_SHARE`` and
+    ``_FACTOR_MIN_ROWS`` record the measurements behind these rules.  A
+    factored side becomes e = Rz L, with A = e e'; a dense side becomes the
+    n x n matrix A, by the symmetric update of :func:`_woodbury_regress`
+    for a factored z and by two products with a dense Rz, and is exactly
+    symmetric either way.  The statistic is |ex' ey|^2_F for two factors,
+    e' A e for one, and sum(A * B) for none, and the invariants of the null
+    come from :func:`~citkit.permnull.feature_invariants` for a factor and
+    :func:`~citkit.permnull.dense_invariants` for a dense side.  With every
+    block dense, the arithmetic is the dense test's, step for step.  With
+    ``permutations > 0`` the sampled null permutes the rows of ex, or both
+    axes of a dense A.
 
-    Memory: n x n buffers are taken only for dense sides, the five of
-    ``_workspace`` (a :class:`_Workspace`, or a fresh one): Kz, then Rz, the
-    first; A and B the next two; the fourth holds each Gram's condensed
-    distances and then the product with Rz; the statistic's A * B goes into
-    the dead Rz buffer; and the invariants' M @ M, M * M and product buffer
-    go into the Rz, fourth and fifth ones.  A call with every block factored
-    takes none of them.  The factor path allocates afresh: a factor of n x r
-    floats (up to n x n / 4 while it grows), the n (n - 1) / 2 distances of
-    its median bandwidth, freed before the factor starts, and the n x r and
-    64-row buffers of the feature invariants.  At the ranks of blocks with
-    one or two columns that stays below one n x n array, so a thread that
-    reuses one workspace across calls faults no n x n array in on a warm
-    call.  The sampled permutation null allocates more.
+    Memory: the n x n buffers of ``_workspace`` (a :class:`_Workspace`, or a
+    fresh one) are taken as a call first needs them, and every call takes
+    buffer 0.  Buffer 0 holds z's Gram, then its factor Lz' and W (or the
+    dense Rz); buffers 1 and 2 the dense sides A and B; buffer 3 each dense
+    Gram's condensed distances, then the update's C and C Q' (or the product
+    with a dense Rz); buffer 4 Q = W Lz' once a dense side needs it.  Once
+    the sides are built, buffer 0 holds ex G and the two 64-row blocks of
+    the feature invariants, and the statistic's A * B; the dense invariants'
+    M @ M, M * M and product buffer go into buffers 0, 3 and 4.  A call with
+    z and every side factored (r_z at most n / 4, n >= 350) holds buffer 0
+    alone.  Allocated afresh are z's condensed distances, freed before its
+    factor, and for the greedy factors an n x n / 4 buffer while one grows,
+    the distances of its median bandwidth and the n x r sides.  At the
+    benchmark's ranks a warm call stays below one n x n array of fresh
+    memory, so a thread that reuses one workspace faults no n x n array in.
+    The sampled permutation null allocates more.
 
-    Threads: each kernel column of a factor is one BLAS product and an
-    ``exp``, and the products with Rz (BLAS), the ridge inverses (LAPACK)
-    and numpy's n x n elementwise work all run with the GIL released, so
-    subtests on several threads overlap them.  What holds it is the
-    ``pdist`` behind each block's median bandwidth, the ``squareform``
-    scatter of each dense Gram, the Python step between two factor columns,
-    the cumulant tables and the null tail.  A workspace must not be shared
-    by two threads at once.
+    Threads: ``dpstrf`` and the ridge inverses (LAPACK), the Woodbury
+    update's ``dgemm`` and ``dsyr2k``, the other products and each kernel
+    column of a greedy factor (BLAS), and numpy's n x n elementwise work
+    run with the GIL released, so subtests on several threads overlap them.
+    What holds it is the ``pdist`` behind each block's median bandwidth, the
+    ``squareform`` scatter of each dense Gram, the Python step between two
+    greedy factor columns, the cumulant tables and the null tail.  A
+    workspace must not be shared by two threads at once.
     """
     t0 = time.perf_counter()
     spec = spec or CITestSpec(method="kcit")
@@ -517,20 +580,17 @@ def kcit(data, spec=None, *, _workspace=None):
     workspace = _workspace or _Workspace()
     sides = _kcit_sides(_standardize(data.x, "x"), _standardize(data.y, "y"),
                         _standardize(data.z, "z") if dz else None, spec.ridge * n, workspace)
-    dense = [_is_dense(side) for side in sides]
-    out = workspace.take(n)[0] if all(dense) else None
+    out = workspace.take(n, 0) if all(_is_dense(side) for side in sides) else None
     stat = _trace_product(*sides, out)
     if spec.permutations > 0:
         a, b = sides
         p, flags = sampled_null_p(stat, lambda perm: _trace_product(_permuted(a, perm), b, out),
                                   n, spec.permutations, spec.seed)
     else:
-        scratch = [workspace.take(n)[i] for i in (0, 3, 4)] if any(dense) else None
-
         def invariants(side):
             if _is_dense(side):
-                return dense_invariants(side, _scratch=scratch)
-            return feature_invariants(side)
+                return dense_invariants(side, _scratch=[workspace.take(n, i) for i in (0, 3, 4)])
+            return feature_invariants(side, _scratch=workspace.take(n, 0).reshape(-1))
         # each side is let go once its invariants are taken, y's side first
         inv_b = invariants(sides.pop())
         inv_a = invariants(sides.pop())
@@ -542,9 +602,13 @@ def kcit(data, spec=None, *, _workspace=None):
 def _kcit_sides(x, y, z, eps, workspace):
     """kcit's two sides, for (x, z) and y: each a factor Rz L or a dense Rz K Rz.
 
-    ``z`` is None for d_z = 0, where Rz = I.  Dense sides use the five n x n
-    buffers of ``workspace``, as :func:`kcit` describes.  The z-side factor
-    and inverse go out of scope on return.
+    ``z`` is None for d_z = 0, where Rz = I.  A z whose rank stays within the
+    z cap gives Rz = I - Lz W Lz' (:func:`_z_factor`): a factored side
+    becomes L - Lz (W (Lz' L)), and a dense one goes through
+    :func:`_woodbury_regress`.  Past the cap Rz is the dense n x n
+    eps (Kz + eps I)^-1, and (x, z), whose rank is at least z's, is built
+    dense without a try, as it is whenever z's rank passes the x and y cap.
+    The buffers of ``workspace`` are used as :func:`kcit` describes.
     """
     n = x.shape[0]
     cap = int(_RANK_CAP_SHARE * n) if n >= _FACTOR_MIN_ROWS else 0
@@ -559,15 +623,15 @@ def _kcit_sides(x, y, z, eps, workspace):
     def residualize(L):
         return L
 
-    def regress(K, tmp):
+    def regress(K):
         return K
 
     blocks = ((x, True), (y, True))
     if z is not None:
-        Lz, sigma = factor(z)
-        if Lz is None:
-            Rz, _, _, tmp, _ = workspace.take(n)
-            _center(_gaussian_gram(z, out=Rz, scratch=tmp, sigma=sigma))
+        factored = _z_factor(z, eps, workspace)
+        if factored is None:
+            Rz, tmp = workspace.take(n, 0), workspace.take(n, 3)
+            _center(_gaussian_gram(z, out=Rz, scratch=tmp))
             Rz.flat[::n + 1] += eps
             _spd_inverse(Rz)
             Rz *= eps
@@ -575,34 +639,95 @@ def _kcit_sides(x, y, z, eps, workspace):
             def residualize(L):
                 return Rz @ L
 
-            def regress(K, tmp):
+            def regress(K):
                 return np.matmul(np.matmul(Rz, K, out=tmp), Rz, out=K)
+            try_xz = False
         else:
-            W = Lz.T @ Lz
-            W.flat[::W.shape[0] + 1] += eps
-            _spd_inverse(W)
+            lt, W = factored
+            Q = None
 
             def residualize(L):
-                return L - Lz @ (W @ (Lz.T @ L))
+                return L - lt.T @ (W @ (lt @ L))
 
-            def regress(K, tmp):
-                K -= np.matmul(Lz, W @ (Lz.T @ K), out=tmp)       # Rz K
-                K -= np.matmul(K @ Lz @ W, Lz.T, out=tmp)         # (Rz K) Rz
-                return K
-        # a dense z leaves (x, z), whose rank is at least that of z, untried
-        blocks = ((np.hstack([x, z]), Lz is not None), (y, True))
+            def regress(K):
+                nonlocal Q
+                if Q is None:  # W Lz', made in buffer 4 for the first dense side
+                    Q = np.matmul(W, lt, out=workspace.take(n, 4).reshape(-1)[:lt.size]
+                                  .reshape(lt.shape))
+                return _woodbury_regress(K, lt, Q, workspace)
+            # the rank of (x, z) is at least z's
+            try_xz = lt.shape[0] <= cap
+        blocks = ((np.hstack([x, z]), try_xz), (y, True))
 
     sides = []
     for i, (block, tried) in enumerate(blocks):
         L, sigma = factor(block) if tried else (None, None)
         if L is None:
-            bufs = workspace.take(n)
-            K = _center(_gaussian_gram(block, out=bufs[1 + i], scratch=bufs[3], sigma=sigma))
-            sides.append(regress(K, bufs[3]))
+            K = _gaussian_gram(block, out=workspace.take(n, 1 + i), scratch=workspace.take(n, 3),
+                               sigma=sigma)
+            sides.append(regress(_center(K)))
         else:
             sides.append(residualize(L))
         del L  # free the raw factor before the next block's is built
     return sides
+
+
+def _z_factor(z, eps, workspace):
+    """(Lz', W) for Rz = I - Lz W Lz', as views into buffer 0; None past the z cap.
+
+    z's Gaussian Gram is built dense in buffer 0 and factored there by
+    :func:`_pivoted_cholesky` to a residual trace of at most
+    ``_FACTOR_TOL * n``, the bound :func:`_gram_factor` meets; as there, the
+    columns are centred afterwards, so Lz Lz' is within that trace of the
+    centred Gram.  A rank r above ``_Z_RANK_CAP_SHARE * n`` returns None.
+    Lz' stays in the first r rows of the buffer, its columns put back in the
+    row order of z through the rows after it.  By Woodbury,
+    eps (Lz Lz' + eps I)^-1 = I - Lz W Lz' with W = (Lz' Lz + eps I)^-1, the
+    r x r inverse from :func:`_spd_inverse`, which takes the r^2 entries
+    after Lz'; they fit while r <= 0.618 n.
+    """
+    n = z.shape[0]
+    flat = workspace.take(n, 0).reshape(-1)
+    r, piv = _pivoted_cholesky(_gaussian_gram(z, out=flat.reshape(n, n)), _FACTOR_TOL)
+    if r > _Z_RANK_CAP_SHARE * n:
+        return None
+    lt = flat[:r * n].reshape(r, n)
+    for lo in range(0, r, _ROW_BLOCK):  # clear the Gram left of the factor's diagonal
+        hi = min(lo + _ROW_BLOCK, r)
+        lt[lo:hi, :lo] = 0.0
+        np.copyto(lt[lo:hi, lo:hi], 0.0, where=_STRICT_LOWER[:hi - lo, :hi - lo])
+    order = np.empty_like(piv)
+    order[piv] = np.arange(n, dtype=piv.dtype)
+    for lo in range(0, r, n - r):
+        hi = min(lo + n - r, r)
+        rows = flat[r * n:(r + hi - lo) * n].reshape(hi - lo, n)
+        lt[lo:hi] = np.take(lt[lo:hi], order, axis=1, out=rows, mode="clip")
+    lt -= lt.mean(axis=1, keepdims=True)
+    W = np.matmul(lt, lt.T, out=flat[r * n:r * (n + r)].reshape(r, r))
+    W.flat[::r + 1] += eps
+    return lt, _spd_inverse(W)
+
+
+def _woodbury_regress(K, lt, Q, workspace):
+    """Rz K Rz for Rz = I - Lz Q, Q = W Lz', in place in the dense centred Gram K.
+
+    With C = Q K and F = C - (C Q') Lz' / 2, Rz K Rz = K - (Lz F + F' Lz').
+    BLAS ``dsyr2k`` subtracts the bracket from the upper triangle of K, which
+    is then mirrored, so the result is exactly symmetric: 2 n^2 r multiply-
+    adds and 2 n r^2 more, against 2 n^3 for the dense products.  C, then
+    F, takes the first r x n entries of buffer 3 and C Q' the r^2 after them.
+    """
+    r, n = lt.shape
+    flat = workspace.take(n, 3).reshape(-1)
+    C = np.matmul(Q, K, out=flat[:r * n].reshape(r, n))
+    U = np.matmul(C, Q.T, out=flat[r * n:r * (n + r)].reshape(r, r))
+    rows, size = ctypes.c_int(n), ctypes.c_int(r)
+    # in Fortran order BLAS sees lt, C and U as the n x r Lz and C' and the r x r U'
+    _DGEMM(b"N", b"N", rows, size, size, ctypes.c_double(-0.5), lt.ctypes.data, rows,
+           U.ctypes.data, size, ctypes.c_double(1.0), C.ctypes.data, rows)
+    _DSYR2K(b"L", b"N", rows, size, ctypes.c_double(-1.0), lt.ctypes.data, rows, C.ctypes.data,
+            rows, ctypes.c_double(1.0), K.ctypes.data, rows)
+    return _mirror_upper(K)
 
 
 def _rff(block, n_features, sigma, rng):

@@ -160,13 +160,14 @@ def make_cit_tester(data, spec: CITestSpec, config=None):
     With ``config=None`` each query runs the base test ``spec`` on all rows;
     with an :class:`~citkit.ensemble.EnsembleConfig` it runs
     ``ensemble.ecit(..., spec, config)``, looked up at call time.  A plain
-    tester hands one kcit workspace to every query: five n x n float64
-    buffers, taken on the first query with a dense side and kept as long as
-    the tester, so a warm query allocates no n x n array.  Where kcit
-    factors a Gram (from 350 rows up, for blocks of rank up to n / 4) it
-    allocates n x r arrays per query instead and leaves the workspace
-    alone.  The ensemble keeps its own per-thread workspaces.  The tester
-    must not be called from two threads at once.
+    tester hands one kcit workspace to every query: up to five n x n float64
+    buffers, each taken on the first query that needs it and kept as long
+    as the tester, so a warm query allocates no n x n array.  Every query
+    takes one; queries with dense sides take more, up to five when both
+    sides are dense.  A factored z lives in those buffers as an n x r_z
+    factor; factored x and y sides are n x r arrays allocated per query.
+    The ensemble keeps its own per-thread workspaces.  The tester must not
+    be called from two threads at once.
     """
     data = np.asarray(data, dtype=float)
     workspace = _Workspace() if config is None else None

@@ -235,16 +235,17 @@ def ecit(data: DataTriple, base: CITestSpec, config: EnsembleConfig) -> TestOutc
     threads.  To run on one core, pin the affinity mask to one core or leave
     BLAS unpinned.  The threads overlap only where the base test releases
     the GIL; see :func:`citkit.cit.kcit` for which of its steps do.  A
-    kcit subtest builds each kernel column of its Gram factors by BLAS,
-    with the GIL released, while the median ``pdist`` of each block and the
-    Python step between two factor columns hold it.  Each thread reuses one
-    kcit workspace, five n_k x n_k float64 buffers taken only when a
-    subtest has a dense side, for every subset it draws, and drops it when
-    this call returns; factored sides take n_k x r arrays per subtest
-    instead (from n_k = 350 up, where a block's rank stays at most
-    n_k / 4).  The combination runs on the calling thread once every
-    subtest is done, and holds the GIL: a fraction of a millisecond for K
-    up to about 10.
+    kcit subtest factors z's Gram in LAPACK (``dpstrf``) and applies the
+    regression on z by BLAS, with the GIL released, and builds each kernel
+    column of a greedy x or y factor by BLAS too, while the median
+    ``pdist`` of each block and the Python step between two greedy factor
+    columns hold it.  Each thread reuses one kcit workspace, up to five
+    n_k x n_k float64 buffers taken as its subtests first need them, for
+    every subset it draws, and drops it when this call returns: one buffer
+    when every side factors (from n_k = 350 up, where a block's rank stays
+    at most n_k / 4), and more for dense sides.  The combination runs on
+    the calling thread once every subtest is done, and holds the GIL: a
+    fraction of a millisecond for K up to about 10.
 
     A subtest that fails fails the whole run: the error is re-raised with
     ``subtest k of K:`` in front of its message, for example when one subset

@@ -119,26 +119,39 @@ def dense_invariants(M, _scratch=None):
     }
 
 
-def feature_invariants(ex):
+def feature_invariants(ex, _scratch=None):
     """Invariants of A = ex @ ex.T computed without materializing A.
 
     Everything reduces to feature-space products except the entrywise power
     sums ``e3``, ``e4``, ``th4`` and ``le3``.  Those sweep the upper triangle
     of A in blocks of ``_ROW_BLOCK`` rows: block rows lo:hi meet columns lo:n
     only, and since A is symmetric the diagonal block counts once and the part
-    right of it twice.  Memory stays at one n x k buffer, ``ex @ G``, plus
-    two ``_ROW_BLOCK x n`` buffers, A's block and its entrywise square; the
-    cube overwrites the block in place.
+    right of it twice.  Memory stays at two n x k buffers, ``ex @ G`` and
+    one shared by the diagonals of A^2 and A^3, plus two ``_ROW_BLOCK x n``
+    buffers, A's block and its entrywise square; the cube overwrites the
+    block in place.  ``_scratch`` may be a C-contiguous float64 vector; when
+    it holds n (k + 2 ``_ROW_BLOCK``) entries, ``ex @ G`` and the two blocks
+    are written there instead of being allocated.  The result is the same
+    bit for bit.
     """
     n, k = ex.shape
+    exg_out = p_flat = p2_flat = None
+    if _scratch is not None and _scratch.size >= n * (k + 2 * _ROW_BLOCK):
+        exg_out = _scratch[:n * k].reshape(n, k)
+        p_flat, p2_flat = _scratch[n * k:n * (k + 2 * _ROW_BLOCK)].reshape(2, -1)
+
+    def block(flat, shape):
+        return None if flat is None else flat[:shape[0] * shape[1]].reshape(shape)
+
     a = (ex * ex).sum(axis=1)            # diag(A)
     G = ex.T @ ex
     G2 = G @ G
     exa = ex.T @ a
     exa2 = ex.T @ (a * a)
-    exG = ex @ G
-    r = (exG * ex).sum(axis=1)           # diag(A^2)
-    buf = ex @ G2                        # one n x k buffer for r3, then wa
+    exG = np.matmul(ex, G, out=exg_out)
+    buf = np.multiply(exG, ex)           # one n x k buffer for r, r3, then wa
+    r = buf.sum(axis=1)                  # diag(A^2)
+    np.matmul(ex, G2, out=buf)
     buf *= ex
     r3 = buf.sum(axis=1)                 # diag(A^3)
     wa = np.multiply(ex, np.sqrt(a)[:, None], out=buf)
@@ -166,8 +179,8 @@ def feature_invariants(ex):
     for lo in range(0, n, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, n)
         w = hi - lo
-        P = ex[lo:hi] @ ex[lo:].T        # A[lo:hi, lo:]
-        P2 = P * P
+        P = np.matmul(ex[lo:hi], ex[lo:].T, out=block(p_flat, (w, n - lo)))  # A[lo:hi, lo:]
+        P2 = np.multiply(P, P, out=block(p2_flat, (w, n - lo)))
         # row i of th4 is exG_i . sum_j A_ij^2 ex_j, the mirror counted twice
         M = P2[:, :w] @ ex[lo:hi] + 2.0 * (P2[:, w:] @ ex[hi:])
         th4 += float(np.vdot(exG[lo:hi], M))

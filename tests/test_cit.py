@@ -34,7 +34,7 @@ from citkit.cit import (
     run_cit,
 )
 from citkit.cit import TestOutcome as CitOutcome
-from citkit.datagen import PnlConfig, gen_pnl
+from citkit.datagen import PnlConfig, gen_pnl, gen_random_dag, simulate_scm
 from citkit.errors import ConfigError, DataError, NumericalError
 from citkit.permnull import analytic_null_p, dense_invariants, sampled_null_p
 
@@ -361,6 +361,25 @@ def _pnl_triple(n, d_z, hypothesis, seed):
     return data if d_z else DataTriple(data.x, data.y, None)
 
 
+def _scm_triple(n, d_z, seed):
+    """x, y and d_z more columns of a Laplace SCM on the DAG of the pc_kcit benchmark.
+
+    Its z columns depend on each other, so three of them give a Gram of rank
+    84-109 at n = 200, where three independent PNL columns give 126-131.
+    """
+    values = simulate_scm(gen_random_dag(6, 0.3, seed=0), n, noise_dist="laplace",
+                          seed=seed).values
+    return DataTriple(values[:, :1], values[:, 1:2], values[:, 2:2 + d_z])
+
+
+def _assert_near_the_dense_test(data):
+    p, stat, flags = dense_kcit(data)
+    out = kcit(data)
+    assert abs(out.p - p) <= 1e-10
+    assert out.statistic == pytest.approx(stat, rel=1e-8)
+    assert out.flags == flags
+
+
 class TestFactorPath:
     """kcit's pivoted-Cholesky factors against the dense Grams they replace."""
 
@@ -368,8 +387,8 @@ class TestFactorPath:
     @pytest.mark.parametrize("d_z", [0, 1, 3])
     @pytest.mark.parametrize("hypothesis", ["H0", "H1"])
     def test_p_within_1e_10_of_the_dense_test(self, n, d_z, hypothesis, monkeypatch):
-        # n = 200 is below the size where kcit factors, so it is also run
-        # with factoring forced from 8 rows up
+        # n = 200 is below the size where kcit factors x and y, so it is also
+        # run with their factoring forced from 8 rows up
         for min_rows in sorted({cit._FACTOR_MIN_ROWS, 8}):
             monkeypatch.setattr(cit, "_FACTOR_MIN_ROWS", min_rows)
             for seed in range(10):
@@ -379,6 +398,94 @@ class TestFactorPath:
                 assert abs(out.p - p) <= 1e-10
                 assert out.statistic == pytest.approx(stat, rel=1e-8)
                 assert out.flags == flags
+
+    @pytest.mark.parametrize("n, d_z", [(200, 2), (400, 2), (300, 0), (300, 1), (300, 2),
+                                        (300, 3)])
+    @pytest.mark.parametrize("hypothesis", ["H0", "H1"])
+    def test_p_within_1e_10_of_the_dense_test_at_d_z_2_and_n_300(self, n, d_z, hypothesis):
+        for seed in range(10):
+            _assert_near_the_dense_test(_pnl_triple(n, d_z, hypothesis, seed))
+
+    @pytest.mark.parametrize("n, d_z", [(200, 3), (400, 2)])
+    def test_p_within_1e_10_of_the_dense_test_on_dependent_z_columns(self, n, d_z):
+        # z factors on 8 of the 10 seeds at n = 200 (ranks 84-125 against a
+        # cap of 120) and on all of them at n = 400; at n = 200 both sides
+        # are dense, so they go through the Woodbury update
+        for seed in range(10):
+            _assert_near_the_dense_test(_scm_triple(n, d_z, seed))
+
+    @pytest.mark.parametrize("data", [_scm_triple(200, 3, seed=2), _pnl_triple(200, 1, "H1", 36),
+                                      _pnl_triple(400, 3, "H1", 36), _pnl_triple(300, 2, "H0", 36)],
+                             ids=["scm-200-3", "pnl-200-1", "pnl-400-3", "pnl-300-2"])
+    def test_dense_side_from_the_update_is_exactly_symmetric(self, data):
+        n = data.n
+        x, y, z = (_standardize(block, "block") for block in (data.x, data.y, data.z))
+        eps = 1e-3 * n
+        sides = cit._kcit_sides(x, y, z, eps, _Workspace())
+        assert cit._z_factor(z, eps, _Workspace()) is not None
+        Rz = _center(_gaussian_gram(z))
+        Rz.flat[::n + 1] += eps
+        Rz = np.linalg.inv(Rz) * eps
+        dense = 0
+        for side, block in zip(sides, (np.hstack([x, z]), y)):
+            if side.shape[1] < n:
+                continue
+            dense += 1
+            assert np.array_equal(side, side.T)
+            K = _center(_gaussian_gram(block))
+            assert np.abs(side - Rz @ K @ Rz).max() <= 1e-12 * n
+        assert dense
+
+    @pytest.mark.parametrize("data", [_scm_triple(200, 1, seed=7), _scm_triple(200, 3, seed=7),
+                                      _pnl_triple(400, 2, "H1", 37)],
+                             ids=["scm-200-1", "scm-200-3", "pnl-400-2"])
+    def test_z_factor_matches_the_centred_gram_within_the_tolerance(self, data):
+        n = data.n
+        z = _standardize(data.z, "z")
+        eps = 1e-3 * n
+        lt, W = cit._z_factor(z, eps, _Workspace())
+        assert lt.shape[0] < n
+        residual = _center(_gaussian_gram(z)) - lt.T @ lt
+        # as for the greedy factor, the residual is positive semidefinite up
+        # to rounding, so its trace bounds every entry
+        assert -1e-12 * n <= np.trace(residual) <= 1e-12 * n
+        assert np.abs(residual).max() <= 1e-12 * n
+        assert np.abs(lt.sum(axis=1)).max() <= 1e-10
+        ridge = lt @ lt.T
+        ridge.flat[::ridge.shape[0] + 1] += eps
+        assert np.abs(W @ ridge - np.eye(ridge.shape[0])).max() <= 1e-12
+
+    def test_dpstrf_argument_error_raises_numerical_error(self, monkeypatch):
+        def fail(uplo, n, a, lda, piv, rank, tol, work, info):
+            info.value = -4
+
+        monkeypatch.setattr(cit, "_DPSTRF", fail)
+        with pytest.raises(NumericalError, match="pivoted Cholesky .* info -4"):
+            kcit(_pnl_triple(200, 1, "H0", seed=0))
+
+    @pytest.mark.parametrize("data", [_scm_triple(200, 3, seed=0), _pnl_triple(300, 2, "H1", 38)],
+                             ids=["scm-200-3", "pnl-300-2"])
+    def test_warm_call_with_a_factored_z_allocates_less_than_one_n_by_n_array(self, data):
+        n = data.n
+        assert cit._z_factor(_standardize(data.z, "z"), 1e-3 * n, _Workspace()) is not None
+        workspace = _Workspace()
+        kcit(data, _workspace=workspace)
+        tracemalloc.start()
+        try:
+            kcit(data, _workspace=workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
+
+    @pytest.mark.parametrize("d_z, taken", [(0, {0}), (1, {0}), (3, {0, 1, 3, 4})])
+    def test_workspace_allocates_only_the_buffers_a_call_takes(self, d_z, taken):
+        # at n = 400 every block with one or two columns factors; with three
+        # columns of z, (x, z) is dense and takes its Gram's buffer, the
+        # distance and update buffer 3 and the buffer 4 of W Lz'
+        workspace = _Workspace()
+        kcit(_pnl_triple(400, d_z, "H1", seed=39), _workspace=workspace)
+        assert {i for i, flat in enumerate(workspace._flat) if flat is not None} == taken
 
     @pytest.mark.parametrize("d_z", [0, 1, 2, 3])
     def test_factor_matches_the_centred_gram_within_the_tolerance(self, d_z):

@@ -115,6 +115,18 @@ class TestDenseInvariants:
 
 
 class TestFeatureInvariants:
+    @pytest.mark.parametrize("n, k", [(8, 5), (65, 3), (300, 20)])
+    def test_scratch_buffer_changes_nothing(self, n, k):
+        ex = np.random.default_rng((n, k)).standard_normal((n, k))
+        want = {name: value.hex() for name, value in feature_invariants(ex).items()}
+        # NaN-filled buffers of the exact size and larger, then the ones the
+        # first pass left; a buffer too small is not used
+        for size in (n * (k + 128), n * n + 3 * n * (k + 128), n * (k + 128) - 1):
+            scratch = np.full(size, np.nan)
+            for _ in range(2):
+                got = feature_invariants(ex, _scratch=scratch)
+                assert {name: value.hex() for name, value in got.items()} == want
+
     # n below, on and across one and two row blocks of the triangle sweep
     @pytest.mark.parametrize("k", [5, 100])
     @pytest.mark.parametrize("n", [8, 63, 64, 65, 127, 128, 129, 300, 2001])
