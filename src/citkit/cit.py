@@ -27,8 +27,10 @@ Conventions shared by the kernel tests:
 
 import ctypes
 import math
+import threading
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cython_blas, cython_lapack
@@ -37,7 +39,8 @@ from scipy.spatial.distance import pdist
 from scipy.special import ndtr
 
 from .errors import ConfigError, DataError, NumericalError
-from .permnull import analytic_null_p, dense_invariants, feature_invariants, sampled_null_p
+from .permnull import (_INVARIANT_NAMES, analytic_null_p, dense_invariants, feature_invariants,
+                       sampled_null_p)
 
 __all__ = [
     "CITestSpec",
@@ -105,6 +108,13 @@ _FACTOR_TOL = 1e-12
 _RANK_CAP_SHARE = 0.25
 _FACTOR_MIN_ROWS = 350
 _Z_RANK_CAP_SHARE = 0.6
+
+# Bytes of the slab in which a _Memo keeps z factors.  At n = 200 a factor
+# takes about 43, 122 and 250 KB at d_z = 1, 2 and 3, and the distinct z
+# factors of the benchmark's PC run (156 of them) take 22.3 MB.  Of the 312
+# z factorizations that run could skip, FIFO slabs of 1, 1.5 and 2 MB
+# skipped 108, 240 and 252.
+_Z_STORE_BYTES = 3 << 19
 
 
 def _scipy_routine(table, name, *argtypes):
@@ -282,16 +292,26 @@ def _standardize(block, name):
     return (block - mu) / sd
 
 
-def _center(K):
+def _center(K, scratch=None):
     """Double-center the symmetric K in place and return it.
 
     Entry (i, j) loses m_i + m_j for one vector m of column means.  The sum
-    is commutative, so an exactly symmetric K stays exactly symmetric.
+    is commutative, so an exactly symmetric K stays exactly symmetric.  The
+    sums are built 64 rows at a time in the first 64 n entries of
+    ``scratch``, an n x n float64 array other than K, or else in one fresh
+    64 x n block.
     """
+    n = K.shape[0]
     m = K.mean(axis=0)
     mean = m.mean()
-    for lo in range(0, K.shape[0], _ROW_BLOCK):
-        K[lo:lo + _ROW_BLOCK] -= m[lo:lo + _ROW_BLOCK, None] + m
+    rows = min(_ROW_BLOCK, n)
+    flat = np.empty(rows * n) if scratch is None else scratch.reshape(-1)[:rows * n]
+    block = flat.reshape(rows, n)
+    for lo in range(0, n, _ROW_BLOCK):
+        sums = block[:min(lo + _ROW_BLOCK, n) - lo]
+        sums[:] = m
+        sums += m[lo:lo + _ROW_BLOCK, None]
+        K[lo:lo + _ROW_BLOCK] -= sums
     K += mean
     return K
 
@@ -411,6 +431,103 @@ class _Workspace:
         return flat[:n * n].reshape(n, n)
 
 
+class _MemoKeys(NamedTuple):
+    """A kcit call's keys into a :class:`_Memo`: z's, and those of its two sides."""
+
+    memo: "_Memo"
+    z: tuple
+    x: tuple
+    y: tuple
+
+
+class _Memo:
+    """z factors and side invariants shared by kcit calls on subsets of one data matrix.
+
+    PC asks many queries (i, j, S) of one matrix, and an ensemble splits
+    each one into the same K row subsets, so the z of (S, subset k) and the
+    sides of (i, S, k) and (j, S, k) recur; with S empty the x side of a
+    column is the y side of it.  :meth:`keys` names them, and a kcit call
+    handed those keys takes what was stored under them instead of building
+    it again.  Every statistic is built fresh.  The caller keeps one memo
+    per data matrix, base test and subset size.
+
+    The z store holds each factor (Lz', W) as the r_z (n + r_z) floats it
+    fills at the head of workspace buffer 0, in one slab of
+    ``_Z_STORE_BYTES`` that is refilled first in, first out; a factor larger
+    than the slab is not kept.  A z past the z cap is remembered as such, so
+    it is factored once.  The invariants store keeps every side's 20
+    invariants.  Both are guarded by one lock, under which a z hit is copied
+    into the caller's buffer 0, so subtests on several threads may share a
+    memo.  :meth:`counts` reports each store's hits and misses.
+    """
+
+    def __init__(self):
+        self._slab = np.empty(_Z_STORE_BYTES // 8)
+        self._head = 0
+        self._z = {}           # key -> (start, end, r_z) in the slab, or None past the z cap
+        self._invariants = {}  # key -> the invariants in _INVARIANT_NAMES order
+        self._lock = threading.Lock()
+        self._counts = dict.fromkeys(("z_hits", "z_misses", "invariant_hits",
+                                      "invariant_misses"), 0)
+
+    def keys(self, i, j, S, k):
+        """The keys of the kcit call on subset ``k`` of the query x = i, y = j, z = S."""
+        S = tuple(S)
+        if not S:
+            return _MemoKeys(self, (S, k), (i, k), (j, k))
+        return _MemoKeys(self, (S, k), ("x", i, S, k), ("y", j, S, k))
+
+    def counts(self):
+        """Hits and misses of the z and invariants stores so far, as a new dict."""
+        with self._lock:
+            return dict(self._counts)
+
+    def z_factor(self, key, z, eps, workspace):
+        """:func:`_z_factor` of ``z``, taken from the z store when it holds ``key``."""
+        n = z.shape[0]
+        flat = workspace.take(n, 0).reshape(-1)
+        with self._lock:
+            if key in self._z:
+                self._counts["z_hits"] += 1
+                if self._z[key] is None:
+                    return None
+                offset, end, r = self._z[key]
+                flat[:end - offset] = self._slab[offset:end]
+                return flat[:r * n].reshape(r, n), flat[r * n:r * (n + r)].reshape(r, r)
+            self._counts["z_misses"] += 1
+        factored = _z_factor(z, eps, workspace)
+        with self._lock:
+            if factored is None:
+                self._z[key] = None
+                return None
+            r = factored[0].shape[0]
+            size = r * (n + r)
+            if size <= self._slab.size:
+                if self._head + size > self._slab.size:
+                    self._head = 0
+                lo, hi = self._head, self._head + size
+                for old, entry in list(self._z.items()):  # evict what the new entry overwrites
+                    if entry is not None and entry[0] < hi and lo < entry[1]:
+                        del self._z[old]
+                self._slab[lo:hi] = flat[:size]
+                self._z[key] = (lo, hi, r)
+                self._head = hi
+        return factored
+
+    def invariants(self, key, compute):
+        """The invariants stored under ``key``, or ``compute()``'s, which are then stored."""
+        with self._lock:
+            packed = self._invariants.get(key)
+            self._counts["invariant_hits" if packed is not None else "invariant_misses"] += 1
+        if packed is not None:
+            return dict(zip(_INVARIANT_NAMES, packed.tolist()))
+        inv = compute()
+        packed = np.array([inv[name] for name in _INVARIANT_NAMES])
+        with self._lock:
+            self._invariants[key] = packed
+        return inv
+
+
 def fisher_z(data):
     """Partial-correlation test via the Fisher z-transform.
 
@@ -517,7 +634,7 @@ def _permuted(side, perm):
     return side[np.ix_(perm, perm)] if _is_dense(side) else side[perm]
 
 
-def kcit(data, spec=None, *, _workspace=None):
+def kcit(data, spec=None, *, _workspace=None, _memo=None):
     """Kernel CI test: trace statistic of z-regressed kernels, permutation-cumulant null.
 
     The statistic is tr(A B) with A = Rz Kxz Rz and B = Rz Ky Rz, where Kxz
@@ -550,18 +667,27 @@ def kcit(data, spec=None, *, _workspace=None):
     fresh one) are taken as a call first needs them, and every call takes
     buffer 0.  Buffer 0 holds z's Gram, then its factor Lz' and W (or the
     dense Rz); buffers 1 and 2 the dense sides A and B; buffer 3 each dense
-    Gram's condensed distances, then the update's C and C Q' (or the product
-    with a dense Rz); buffer 4 Q = W Lz' once a dense side needs it.  Once
-    the sides are built, buffer 0 holds ex G and the two 64-row blocks of
-    the feature invariants, and the statistic's A * B; the dense invariants'
-    M @ M, M * M and product buffer go into buffers 0, 3 and 4.  A call with
-    z and every side factored (r_z at most n / 4, n >= 350) holds buffer 0
-    alone.  Allocated afresh are z's condensed distances, freed before its
-    factor, and for the greedy factors an n x n / 4 buffer while one grows,
-    the distances of its median bandwidth and the n x r sides.  At the
-    benchmark's ranks a warm call stays below one n x n array of fresh
-    memory, so a thread that reuses one workspace faults no n x n array in.
-    The sampled permutation null allocates more.
+    Gram's condensed distances, then the 64-row sums of its centring, then
+    the update's C and C Q' (or the product with a dense Rz); buffer 4
+    Q = W Lz' once a dense side needs it.  Once the sides are built, buffer
+    0 holds ex G and the two 64-row blocks of the feature invariants, and
+    the statistic's A * B; the dense invariants' M @ M, M * M and product
+    buffer go into buffers 0, 3 and 4.  A call with z and every side
+    factored (r_z at most n / 4, n >= 350) holds buffer 0 alone.  Allocated
+    afresh are z's condensed distances, freed before its factor, and for
+    the greedy factors an n x n / 4 buffer while one grows, the distances
+    of its median bandwidth and the n x r sides.  At the benchmark's ranks
+    a warm call stays below one n x n array of fresh memory, so a thread
+    that reuses one workspace faults no n x n array in.  The sampled
+    permutation null allocates more.
+
+    Memo: ``_memo``, the :class:`_MemoKeys` of a :class:`_Memo`, lets calls
+    on subsets of one data matrix share work.  A z factor found there is
+    copied from the memo's slab into buffer 0, where :func:`_z_factor`
+    leaves a fresh one, and a z known to be past the cap goes dense without
+    a ``dpstrf``; invariants found there are not computed again.  The sides
+    and the statistic are built in full either way, so p is bit-identical
+    with and without a memo.
 
     Threads: ``dpstrf`` and the ridge inverses (LAPACK), the Woodbury
     update's ``dgemm`` and ``dsyr2k``, the other products and each kernel
@@ -579,7 +705,8 @@ def kcit(data, spec=None, *, _workspace=None):
         raise ConfigError(f"kcit is cubic in n; refusing n={n} > 5000 (use an ensemble)")
     workspace = _workspace or _Workspace()
     sides = _kcit_sides(_standardize(data.x, "x"), _standardize(data.y, "y"),
-                        _standardize(data.z, "z") if dz else None, spec.ridge * n, workspace)
+                        _standardize(data.z, "z") if dz else None, spec.ridge * n, workspace,
+                        _memo)
     out = workspace.take(n, 0) if all(_is_dense(side) for side in sides) else None
     stat = _trace_product(*sides, out)
     if spec.permutations > 0:
@@ -587,19 +714,22 @@ def kcit(data, spec=None, *, _workspace=None):
         p, flags = sampled_null_p(stat, lambda perm: _trace_product(_permuted(a, perm), b, out),
                                   n, spec.permutations, spec.seed)
     else:
-        def invariants(side):
-            if _is_dense(side):
-                return dense_invariants(side, _scratch=[workspace.take(n, i) for i in (0, 3, 4)])
-            return feature_invariants(side, _scratch=workspace.take(n, 0).reshape(-1))
+        def invariants(side, key):
+            def compute():
+                if _is_dense(side):
+                    scratch = [workspace.take(n, i) for i in (0, 3, 4)]
+                    return dense_invariants(side, _scratch=scratch)
+                return feature_invariants(side, _scratch=workspace.take(n, 0).reshape(-1))
+            return compute() if _memo is None else _memo.memo.invariants(key, compute)
         # each side is let go once its invariants are taken, y's side first
-        inv_b = invariants(sides.pop())
-        inv_a = invariants(sides.pop())
+        inv_b = invariants(sides.pop(), _memo and _memo.y)
+        inv_a = invariants(sides.pop(), _memo and _memo.x)
         p, flags = analytic_null_p(stat, inv_a, inv_b, n)
     return TestOutcome(p=p, statistic=stat, method="kcit", n_used=n,
                        elapsed=time.perf_counter() - t0, flags=flags)
 
 
-def _kcit_sides(x, y, z, eps, workspace):
+def _kcit_sides(x, y, z, eps, workspace, memo=None):
     """kcit's two sides, for (x, z) and y: each a factor Rz L or a dense Rz K Rz.
 
     ``z`` is None for d_z = 0, where Rz = I.  A z whose rank stays within the
@@ -608,7 +738,8 @@ def _kcit_sides(x, y, z, eps, workspace):
     :func:`_woodbury_regress`.  Past the cap Rz is the dense n x n
     eps (Kz + eps I)^-1, and (x, z), whose rank is at least z's, is built
     dense without a try, as it is whenever z's rank passes the x and y cap.
-    The buffers of ``workspace`` are used as :func:`kcit` describes.
+    The buffers of ``workspace`` are used as :func:`kcit` describes, and
+    z's factor comes from ``memo``, a :class:`_MemoKeys`, when it is given.
     """
     n = x.shape[0]
     cap = int(_RANK_CAP_SHARE * n) if n >= _FACTOR_MIN_ROWS else 0
@@ -628,10 +759,13 @@ def _kcit_sides(x, y, z, eps, workspace):
 
     blocks = ((x, True), (y, True))
     if z is not None:
-        factored = _z_factor(z, eps, workspace)
+        if memo is None:
+            factored = _z_factor(z, eps, workspace)
+        else:
+            factored = memo.memo.z_factor(memo.z, z, eps, workspace)
         if factored is None:
             Rz, tmp = workspace.take(n, 0), workspace.take(n, 3)
-            _center(_gaussian_gram(z, out=Rz, scratch=tmp))
+            _center(_gaussian_gram(z, out=Rz, scratch=tmp), tmp)
             Rz.flat[::n + 1] += eps
             _spd_inverse(Rz)
             Rz *= eps
@@ -663,9 +797,9 @@ def _kcit_sides(x, y, z, eps, workspace):
     for i, (block, tried) in enumerate(blocks):
         L, sigma = factor(block) if tried else (None, None)
         if L is None:
-            K = _gaussian_gram(block, out=workspace.take(n, 1 + i), scratch=workspace.take(n, 3),
-                               sigma=sigma)
-            sides.append(regress(_center(K)))
+            tmp = workspace.take(n, 3)
+            K = _gaussian_gram(block, out=workspace.take(n, 1 + i), scratch=tmp, sigma=sigma)
+            sides.append(regress(_center(K, tmp)))
         else:
             sides.append(residualize(L))
         del L  # free the raw factor before the next block's is built
@@ -797,13 +931,14 @@ def rcit(data, spec=None):
                        elapsed=time.perf_counter() - t0, flags=flags)
 
 
-def run_cit(data, spec, *, _workspace=None):
+def run_cit(data, spec, *, _workspace=None, _memo=None):
     """Dispatch to the test named by spec.method.
 
-    ``_workspace`` is handed to :func:`kcit` and ignored by the other tests.
+    ``_workspace`` and ``_memo`` are handed to :func:`kcit` and ignored by
+    the other tests.
     """
     if spec.method == "fisherz":
         return fisher_z(data)
     if spec.method == "kcit":
-        return kcit(data, spec, _workspace=_workspace)
+        return kcit(data, spec, _workspace=_workspace, _memo=_memo)
     return rcit(data, spec)

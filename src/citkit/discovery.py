@@ -11,12 +11,13 @@ round's queries never depend on its own removals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 
 import numpy as np
 
 from . import ensemble
-from .cit import CITestSpec, DataTriple, _Workspace, run_cit
+from .cit import CITestSpec, DataTriple, _Memo, _Workspace, run_cit
 from .errors import CitkitError, ConfigError
 from .datagen import GraphSpec
 
@@ -166,18 +167,34 @@ def make_cit_tester(data, spec: CITestSpec, config=None):
     takes one; queries with dense sides take more, up to five when both
     sides are dense.  A factored z lives in those buffers as an n x r_z
     factor; factored x and y sides are n x r arrays allocated per query.
-    The ensemble keeps its own per-thread workspaces.  The tester must not
-    be called from two threads at once.
+    The ensemble keeps its own per-thread workspaces.
+
+    A kcit tester keeps a memo (:class:`citkit.cit._Memo`) as long as it
+    lives, since its queries share conditioning sets and, in an ensemble,
+    the same row subsets.  It holds z's factor for each (S, subset), and the
+    invariants of the null for each (x column, S, subset) and (y column, S,
+    subset); with S empty a column's x and y sides are one entry.  A query
+    that finds them skips z's Gram, its pivoted Cholesky and W, or the
+    invariants of that side, and its p-value is the same bit for bit.  The z
+    factors share one slab of 1.5 MB (``cit._Z_STORE_BYTES``), refilled
+    first in, first out; a z past the z cap is remembered as such.  The
+    invariants are kept for every side, 20 floats each.  ``tester.memo_counts()``
+    returns the hits and misses of both stores so far.  The memo is safe for
+    the ensemble's subtest threads, but the tester must not be called from
+    two threads at once.
     """
     data = np.asarray(data, dtype=float)
     workspace = _Workspace() if config is None else None
+    memo = _Memo()
 
     def tester(i, j, S):
         triple = DataTriple(data[:, [i]], data[:, [j]], data[:, list(S)])
+        keys = partial(memo.keys, i, j, S)
         if config is None:
-            return run_cit(triple, spec, _workspace=workspace).p
-        return ensemble.ecit(triple, spec, config).p
+            return run_cit(triple, spec, _workspace=workspace, _memo=keys(0)).p
+        return ensemble.ecit(triple, spec, config, _memo=keys).p
 
+    tester.memo_counts = memo.counts
     return tester
 
 

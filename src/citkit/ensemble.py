@@ -126,7 +126,7 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _run_subtests(subsets, specs, workers: int) -> list[TestOutcome]:
+def _run_subtests(subsets, specs, workers: int, memo=None) -> list[TestOutcome]:
     """Outcomes of ``run_cit`` on every subset, in subset order.
 
     The calling thread and ``workers - 1`` pool helpers draw subset indices
@@ -135,6 +135,7 @@ def _run_subtests(subsets, specs, workers: int) -> list[TestOutcome]:
     index is raised.  Every lower index was drawn before it, so that is the
     error a serial run would raise.  Each drawing thread hands its own kcit
     workspace to all of its subtests and drops it when it stops drawing.
+    ``memo``, when given, maps subset index k to subtest k's ``_memo``.
     """
     K = len(subsets)
     results: list = [None] * K
@@ -152,7 +153,8 @@ def _run_subtests(subsets, specs, workers: int) -> list[TestOutcome]:
                 k = next_index
                 next_index += 1
             try:
-                results[k] = run_cit(subsets[k], specs[k], _workspace=workspace)
+                results[k] = run_cit(subsets[k], specs[k], _workspace=workspace,
+                                     _memo=None if memo is None else memo(k))
             except Exception as exc:  # kept, and raised in index order below
                 results[k] = exc
                 with lock:
@@ -220,7 +222,8 @@ def partition(data: DataTriple, config: EnsembleConfig) -> list[DataTriple]:
     return [data.take(order[lo:hi]) for lo, hi in bounds]
 
 
-def ecit(data: DataTriple, base: CITestSpec, config: EnsembleConfig) -> TestOutcome:
+def ecit(data: DataTriple, base: CITestSpec, config: EnsembleConfig, *,
+         _memo=None) -> TestOutcome:
     """Run the base test on each subset and combine p-values via the stable law.
 
     The returned outcome's ``subtest_ps`` holds the raw per-subset p-values
@@ -247,6 +250,11 @@ def ecit(data: DataTriple, base: CITestSpec, config: EnsembleConfig) -> TestOutc
     the calling thread once every subtest is done, and holds the GIL: a
     fraction of a millisecond for K up to about 10.
 
+    ``_memo``, when given, maps a subset index k to the memo keys handed to
+    subtest k's :func:`~citkit.cit.run_cit` (see
+    :func:`citkit.discovery.make_cit_tester`); without it, which is how every
+    caller but a PC tester runs, nothing is kept between calls.
+
     A subtest that fails fails the whole run: the error is re-raised with
     ``subtest k of K:`` in front of its message, for example when one subset
     has a constant column.  Dropping that subset instead would silently
@@ -255,7 +263,7 @@ def ecit(data: DataTriple, base: CITestSpec, config: EnsembleConfig) -> TestOutc
     t0 = time.perf_counter()
     subsets = partition(data, config)
     specs = [replace(base, seed=_subset_seed(config.seed, k)) for k in range(len(subsets))]
-    outcomes = _run_subtests(subsets, specs, _subtest_workers(len(subsets)))
+    outcomes = _run_subtests(subsets, specs, _subtest_workers(len(subsets)), _memo)
 
     raw_ps = tuple(o.p for o in outcomes)
     clamped = clamp_pvalues(np.array(raw_ps), epsilon=config.epsilon)

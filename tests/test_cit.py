@@ -562,6 +562,22 @@ class TestRidgeInverse:
         assert np.array_equal(K, K.T)
         assert abs(K.sum(axis=0)).max() < 1e-10 * n
 
+    @pytest.mark.parametrize("n", [50, 200, 257, 400])
+    def test_center_in_a_scratch_is_the_formula_bit_for_bit(self, n):
+        K = _gaussian_gram(np.random.default_rng(n).standard_normal((n, 2)))
+        m = K.mean(axis=0)
+        want = K - (m[:, None] + m) + m.mean()
+        scratch = np.empty((n, n))
+        got = _center(K.copy(), scratch)
+        assert got.tobytes() == want.tobytes() == _center(K.copy()).tobytes()
+        tracemalloc.start()
+        try:
+            _center(K, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * n * 8  # the row sums go into the scratch
+
     @pytest.mark.parametrize("n", [8, 63, 200, 401])
     def test_matches_cholesky_solve(self, n):
         Kz = _ridge_matrix(n, 2, seed=n)

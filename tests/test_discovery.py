@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from citkit import ensemble
+from citkit import cit, ensemble
 from citkit.cit import CITestSpec, DataTriple, run_cit
 from citkit.datagen import GraphSpec, gen_random_dag, simulate_scm
 from citkit.discovery import (SkeletonGraph, make_cit_tester, make_dsep_oracle, pc_skeleton,
@@ -135,14 +135,112 @@ class TestCitTester:
         tester = make_cit_tester(values, spec, config)
         ecit, calls = ensemble.ecit, []
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return ecit(*args)
+            return ecit(*args, **kwargs)
 
         monkeypatch.setattr(ensemble, "ecit", counted)
         triple = DataTriple(values[:, [0]], values[:, [3]], values[:, [1]])
         assert tester(0, 3, (1,)) == ecit(triple, spec, config).p
         assert len(calls) == 1
+
+
+class TestTesterMemo:
+    """A kcit tester's memo changes no p-value and reuses what it promises to."""
+
+    SPEC = CITestSpec(method="kcit", seed=2)
+    CONFIG = EnsembleConfig(n_k=100, seed=1)
+
+    @pytest.fixture(scope="class")
+    def values(self):
+        return simulate_scm(gen_random_dag(6, 0.3, seed=0), 600, noise_dist="laplace",
+                            seed=0).values
+
+    def _run(self, values, config, on_query=None):
+        """A PC run of a fresh tester: its queries (i, j, S, p) and the tester."""
+        tester = make_cit_tester(values, self.SPEC, config)
+        queries = []
+
+        def record(i, j, S, p):
+            queries.append((i, j, S, p))
+            if on_query is not None:
+                on_query(tester)
+        pc_skeleton(values, tester, on_query=record)
+        return queries, tester
+
+    def _memo_free_p(self, values, config, i, j, S):
+        triple = DataTriple(values[:, [i]], values[:, [j]], values[:, list(S)])
+        if config is None:
+            return run_cit(triple, self.SPEC).p
+        return ensemble.ecit(triple, self.SPEC, config).p
+
+    # from 350 rows the plain tester factors its x and y sides
+    @pytest.mark.parametrize("rows, config", [(600, CONFIG), (400, None)],
+                             ids=["ensemble", "plain"])
+    def test_every_query_p_is_the_memo_free_p(self, values, rows, config):
+        values = values[:rows]
+        queries, _ = self._run(values, config)
+        assert len(queries) > 40
+        assert max(len(S) for _, _, S, _ in queries) >= 2
+        for i, j, S, p in queries:
+            assert p.hex() == self._memo_free_p(values, config, i, j, S).hex(), (i, j, S)
+
+    def test_counts_of_a_plain_pc_run(self, values):
+        # one thread fills the stores in query order, so the counts repeat exactly
+        _, tester = self._run(values[:400], None)
+        assert tester.memo_counts() == {"z_hits": 35, "z_misses": 12,
+                                        "invariant_hits": 64, "invariant_misses": 60}
+
+    def test_ensemble_counts_cover_every_subtest(self, values):
+        # the invariants store keeps everything, so its counts repeat; which z
+        # factors the slab evicts depends on which subtest thread stored first
+        queries, tester = self._run(values, self.CONFIG)
+        counts = tester.memo_counts()
+        assert (counts["invariant_hits"], counts["invariant_misses"]) == (450, 486)
+        conditioned = sum(1 for _, _, S, _ in queries if S)
+        assert counts["z_hits"] + counts["z_misses"] == 6 * conditioned
+        assert counts["z_hits"] > 200
+
+    @pytest.mark.parametrize("budget", [1 << 10, 1 << 16])
+    def test_the_z_slab_holds_its_budget_and_eviction_keeps_p(self, values, budget,
+                                                              monkeypatch):
+        # 1 KB holds no factor at all; 64 KB holds a few, so they are evicted
+        monkeypatch.setattr(cit, "_Z_STORE_BYTES", budget)
+
+        def check_slab(tester):
+            memo = tester.memo_counts.__self__
+            assert memo._slab.nbytes == budget
+            extents = sorted(entry[:2] for entry in memo._z.values() if entry is not None)
+            assert all(0 <= lo < hi <= memo._slab.size for lo, hi in extents)
+            assert all(a[1] <= b[0] for a, b in zip(extents, extents[1:]))
+        queries, tester = self._run(values, self.CONFIG, check_slab)
+        for i, j, S, p in queries:
+            assert p.hex() == self._memo_free_p(values, self.CONFIG, i, j, S).hex(), (i, j, S)
+        assert (tester.memo_counts()["z_hits"] > 0) == (budget > 1 << 10)
+
+    @pytest.mark.parametrize("n, config", [(200, None), (400, EnsembleConfig(n_k=200, seed=3))],
+                             ids=["plain", "ensemble"])
+    def test_a_z_past_the_cap_is_factored_once_per_subset(self, n, config, monkeypatch):
+        # three independent columns at 200 rows have a z rank past 0.6 n
+        values = np.random.default_rng(8).standard_normal((n, 5))
+        ranks = []
+
+        def counted(a, tol):
+            rank, piv = factor(a, tol)
+            ranks.append(rank / a.shape[0])
+            return rank, piv
+        factor = cit._pivoted_cholesky
+        monkeypatch.setattr(cit, "_pivoted_cholesky", counted)
+        tester = make_cit_tester(values, self.SPEC, config)
+        queries = [(0, 1, (2, 3, 4)), (1, 0, (2, 3, 4)), (0, 1, (2, 3, 4))]
+        ps = [tester(*q) for q in queries]
+        subsets = 1 if config is None else n // config.n_k
+        assert len(ranks) == subsets
+        assert min(ranks) > cit._Z_RANK_CAP_SHARE
+        assert tester.memo_counts()["z_hits"] == 2 * subsets
+        monkeypatch.setattr(cit, "_pivoted_cholesky", factor)
+        for (i, j, S), p in zip(queries, ps):
+            assert p.hex() == self._memo_free_p(values, config, i, j, S).hex()
 
 
 class TestSkeletonMetrics:
