@@ -76,15 +76,12 @@ _STRICT_LOWER = np.tri(_ROW_BLOCK, k=-1, dtype=bool)
 # kcit factors each block's centred Gram until the trace of the residual
 # falls to _FACTOR_TOL * n.
 #
-# z is factored at every n, by LAPACK dpstrf on its dense Gram (_z_factor),
-# and keeps its factor while its rank stays at most _Z_RANK_CAP_SHARE * n;
-# past the cap Rz is inverted dense.  On one BLAS thread, kcit with the z
-# factor and the Woodbury update broke even with kcit whose z went dense
-# after the same dpstrf at a z rank of about 0.67 n (n = 200) and 0.72 n
-# (n = 400), and won below: 1.4x at 0.4 n and n = 400.  The cap sits below
-# both at 0.6 n because W fits after Lz' in one workspace buffer, and C Q'
-# after C in another, only while the rank is at most 0.618 n.  The
-# benchmark's z ranks are 13-114 at n = 200 and about 13 and 157-159 at
+# z is factored at every n and every rank, by LAPACK dpstrf on its dense Gram
+# (_z_factor), and Rz is applied through that factor alone.  Where z's rank
+# passes about 0.67 n, inverting Kz + eps I dense would be cheaper than the
+# Woodbury update (on one core, kcit at n = 400 with six columns of z, rank
+# n, takes 28 ms against 22 ms that way), but no benchmark workload reaches
+# such a rank: its z ranks are 13-114 at n = 200 and about 13 and 157-159 at
 # n = 400.
 #
 # The x and y blocks keep the greedy factor (_gram_factor): a block gives it
@@ -107,13 +104,8 @@ _STRICT_LOWER = np.tri(_ROW_BLOCK, k=-1, dtype=bool)
 _FACTOR_TOL = 1e-12
 _RANK_CAP_SHARE = 0.25
 _FACTOR_MIN_ROWS = 350
-_Z_RANK_CAP_SHARE = 0.6
 
-# Bytes of the slab in which a _Memo keeps z factors.  At n = 200 a factor
-# takes about 43, 122 and 250 KB at d_z = 1, 2 and 3, and the distinct z
-# factors of the benchmark's PC run (156 of them) take 22.3 MB.  Of the 312
-# z factorizations that run could skip, FIFO slabs of 1, 1.5 and 2 MB
-# skipped 108, 240 and 252.
+# Bytes of the slab in which a _Memo keeps z factors, r_z n floats each.
 _Z_STORE_BYTES = 3 << 19
 
 
@@ -139,7 +131,6 @@ _CHAR, _ARRAY = ctypes.c_char_p, ctypes.c_void_p
 _INT, _DOUBLE = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
 # (uplo, n, a, lda, info)
 _DPOTRF = _scipy_routine(cython_lapack, "dpotrf", _CHAR, _INT, _ARRAY, _INT, _INT)
-_DPOTRI = _scipy_routine(cython_lapack, "dpotri", _CHAR, _INT, _ARRAY, _INT, _INT)
 # (uplo, n, a, lda, piv, rank, tol, work, info)
 _DPSTRF = _scipy_routine(cython_lapack, "dpstrf", _CHAR, _INT, _ARRAY, _INT, _ARRAY, _INT,
                          _DOUBLE, _ARRAY, _INT)
@@ -149,6 +140,9 @@ _DGEMM = _scipy_routine(cython_blas, "dgemm", _CHAR, _CHAR, _INT, _INT, _INT, _D
 # (uplo, trans, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 _DSYR2K = _scipy_routine(cython_blas, "dsyr2k", _CHAR, _CHAR, _INT, _INT, _DOUBLE, _ARRAY, _INT,
                          _ARRAY, _INT, _DOUBLE, _ARRAY, _INT)
+# (side, uplo, transa, diag, m, n, alpha, a, lda, b, ldb)
+_DTRSM = _scipy_routine(cython_blas, "dtrsm", _CHAR, _CHAR, _CHAR, _CHAR, _INT, _INT, _DOUBLE,
+                        _ARRAY, _INT, _ARRAY, _INT)
 
 
 def _as_block(arr, name):
@@ -322,23 +316,30 @@ def _check_square(a, caller):
         raise ValueError(f"{caller} needs a C-contiguous float64 square array")
 
 
-def _spd_inverse(a):
-    """Invert the symmetric positive definite ``a`` in place and return it.
+def _whiten(g, a):
+    """Overwrite ``a`` with L^-1 a, where L L' = ``g``, and return it.
 
-    LAPACK ``dpotrf`` then ``dpotri``, with the GIL released.  ``a`` must be
-    a C-contiguous float64 square array with equal triangles: LAPACK reads
-    the buffer as its Fortran transpose, so it works on the upper triangle in
-    C order.  The result is mirrored into the lower one and is exactly
-    symmetric.
+    ``g`` is an r x r symmetric positive definite matrix with equal
+    triangles and ``a`` an r x m matrix, both C-contiguous float64; ``g``
+    is overwritten by its factor.  LAPACK ``dpotrf`` factors ``g`` and BLAS
+    ``dtrsm`` applies L^-1, both with the GIL released.  In Fortran order
+    they see the transposes: the lower triangle of g' = g, and the m x r
+    matrix a', which ``dtrsm`` overwrites with a' L^-T.  LAPACK's info other
+    than 0 raises ``NumericalError``.
     """
-    _check_square(a, "_spd_inverse")
-    n = a.shape[0]
-    size, info = ctypes.c_int(n), ctypes.c_int(0)
-    for routine, step in ((_DPOTRF, "Cholesky factorization"), (_DPOTRI, "inversion")):
-        routine(b"L", size, a.ctypes.data, size, info)
-        if info.value != 0:
-            raise NumericalError(f"{step} of the {n} x {n} ridge matrix failed (LAPACK info {info.value})")
-    return _mirror_upper(a)
+    _check_square(g, "_whiten")
+    r = g.shape[0]
+    if a.dtype != np.float64 or a.ndim != 2 or a.shape[0] != r or not a.flags.c_contiguous:
+        raise ValueError(f"_whiten needs a C-contiguous float64 array of {r} rows")
+    size, info = ctypes.c_int(r), ctypes.c_int(0)
+    _DPOTRF(b"L", size, g.ctypes.data, size, info)
+    if info.value != 0:
+        raise NumericalError(f"Cholesky factorization of the {r} x {r} ridge matrix failed "
+                             f"(LAPACK info {info.value})")
+    cols = ctypes.c_int(a.shape[1])
+    _DTRSM(b"R", b"L", b"T", b"N", cols, size, ctypes.c_double(1.0), g.ctypes.data, size,
+           a.ctypes.data, cols)
+    return a
 
 
 def _mirror_upper(a):
@@ -451,20 +452,19 @@ class _Memo:
     it again.  Every statistic is built fresh.  The caller keeps one memo
     per data matrix, base test and subset size.
 
-    The z store holds each factor (Lz', W) as the r_z (n + r_z) floats it
-    fills at the head of workspace buffer 0, in one slab of
-    ``_Z_STORE_BYTES`` that is refilled first in, first out; a factor larger
-    than the slab is not kept.  A z past the z cap is remembered as such, so
-    it is factored once.  The invariants store keeps every side's 20
-    invariants.  Both are guarded by one lock, under which a z hit is copied
-    into the caller's buffer 0, so subtests on several threads may share a
-    memo.  :meth:`counts` reports each store's hits and misses.
+    The z store holds each factor U' as the r_z n floats it fills at the
+    head of workspace buffer 0, in one slab of ``_Z_STORE_BYTES`` that is
+    refilled first in, first out; a factor larger than the slab is not
+    kept.  The invariants store keeps every side's 20 invariants.  Both are
+    guarded by one lock, under which a z hit is copied into the caller's
+    buffer 0, so subtests on several threads may share a memo.
+    :meth:`counts` reports each store's hits and misses.
     """
 
     def __init__(self):
         self._slab = np.empty(_Z_STORE_BYTES // 8)
         self._head = 0
-        self._z = {}           # key -> (start, end, r_z) in the slab, or None past the z cap
+        self._z = {}           # key -> (start, end, r_z) in the slab
         self._invariants = {}  # key -> the invariants in _INVARIANT_NAMES order
         self._lock = threading.Lock()
         self._counts = dict.fromkeys(("z_hits", "z_misses", "invariant_hits",
@@ -487,32 +487,25 @@ class _Memo:
         n = z.shape[0]
         flat = workspace.take(n, 0).reshape(-1)
         with self._lock:
-            if key in self._z:
-                self._counts["z_hits"] += 1
-                if self._z[key] is None:
-                    return None
-                offset, end, r = self._z[key]
-                flat[:end - offset] = self._slab[offset:end]
-                return flat[:r * n].reshape(r, n), flat[r * n:r * (n + r)].reshape(r, r)
-            self._counts["z_misses"] += 1
-        factored = _z_factor(z, eps, workspace)
+            entry = self._z.get(key)
+            self._counts["z_misses" if entry is None else "z_hits"] += 1
+            if entry is not None:
+                lo, hi, r = entry
+                flat[:hi - lo] = self._slab[lo:hi]
+                return flat[:hi - lo].reshape(r, n)
+        ut = _z_factor(z, eps, workspace)
         with self._lock:
-            if factored is None:
-                self._z[key] = None
-                return None
-            r = factored[0].shape[0]
-            size = r * (n + r)
-            if size <= self._slab.size:
-                if self._head + size > self._slab.size:
+            if ut.size <= self._slab.size:
+                if self._head + ut.size > self._slab.size:
                     self._head = 0
-                lo, hi = self._head, self._head + size
+                lo, hi = self._head, self._head + ut.size
                 for old, entry in list(self._z.items()):  # evict what the new entry overwrites
-                    if entry is not None and entry[0] < hi and lo < entry[1]:
+                    if entry[0] < hi and lo < entry[1]:
                         del self._z[old]
-                self._slab[lo:hi] = flat[:size]
-                self._z[key] = (lo, hi, r)
+                self._slab[lo:hi] = ut.reshape(-1)
+                self._z[key] = (lo, hi, ut.shape[0])
                 self._head = hi
-        return factored
+        return ut
 
     def invariants(self, key, compute):
         """The invariants stored under ``key``, or ``compute()``'s, which are then stored."""
@@ -643,60 +636,58 @@ def kcit(data, spec=None, *, _workspace=None, _memo=None):
     z (Rz = I when d_z = 0).
 
     z comes first, at every n: its Gram is built dense and factored in place
-    by LAPACK ``dpstrf`` (:func:`_z_factor`).  While the rank r_z stays at
-    most 0.6 n, z keeps its factor Lz and Rz = I - Lz W Lz' by Woodbury,
-    with the r_z x r_z inverse W from :func:`_spd_inverse`; past that cap,
-    Kz + eps I is inverted dense, n x n.  The (x, z) and y blocks are then
-    factored by greedy pivoted Cholesky (:func:`_gram_factor`) from 350 rows
-    up while their rank stays at most n / 4, and otherwise built dense;
-    (x, z), whose rank is at least z's, is built dense without a try when
-    r_z passes n / 4.  ``_Z_RANK_CAP_SHARE``, ``_RANK_CAP_SHARE`` and
-    ``_FACTOR_MIN_ROWS`` record the measurements behind these rules.  A
-    factored side becomes e = Rz L, with A = e e'; a dense side becomes the
-    n x n matrix A, by the symmetric update of :func:`_woodbury_regress`
-    for a factored z and by two products with a dense Rz, and is exactly
-    symmetric either way.  The statistic is |ex' ey|^2_F for two factors,
-    e' A e for one, and sum(A * B) for none, and the invariants of the null
-    come from :func:`~citkit.permnull.feature_invariants` for a factor and
-    :func:`~citkit.permnull.dense_invariants` for a dense side.  With every
-    block dense, the arithmetic is the dense test's, step for step.  With
-    ``permutations > 0`` the sampled null permutes the rows of ex, or both
-    axes of a dense A.
+    by LAPACK ``dpstrf`` to whatever rank r_z it has, up to n, and
+    Rz = I - U U' by Woodbury, with the n x r_z factor U from
+    :func:`_z_factor`.  The (x, z) and y blocks are then factored by greedy
+    pivoted Cholesky (:func:`_gram_factor`) from 350 rows up while their
+    rank stays at most n / 4, and otherwise built dense; (x, z), whose rank
+    is at least z's, is built dense without a try when r_z passes n / 4.
+    ``_RANK_CAP_SHARE`` and ``_FACTOR_MIN_ROWS`` record the measurements
+    behind these rules.  A factored side becomes e = Rz L = L - U (U' L),
+    with A = e e'; a dense side becomes the n x n matrix A, by the symmetric
+    update of :func:`_woodbury_regress`, and is exactly symmetric.  The
+    statistic is |ex' ey|^2_F for two factors, e' A e for one, and
+    sum(A * B) for none, and the invariants of the null come from
+    :func:`~citkit.permnull.feature_invariants` for a factor and
+    :func:`~citkit.permnull.dense_invariants` for a dense side.  With
+    d_z = 0 and both blocks dense, the arithmetic is the dense test's, step
+    for step.  With ``permutations > 0`` the sampled null permutes the rows
+    of ex, or both axes of a dense A.
 
     Memory: the n x n buffers of ``_workspace`` (a :class:`_Workspace`, or a
     fresh one) are taken as a call first needs them, and every call takes
-    buffer 0.  Buffer 0 holds z's Gram, then its factor Lz' and W (or the
-    dense Rz); buffers 1 and 2 the dense sides A and B; buffer 3 each dense
+    buffer 0.  Buffer 0 holds z's Gram, then its factor U' in the first r_z
+    rows; buffers 1 and 2 the dense sides A and B; buffer 3 each dense
     Gram's condensed distances, then the 64-row sums of its centring, then
-    the update's C and C Q' (or the product with a dense Rz); buffer 4
-    Q = W Lz' once a dense side needs it.  Once the sides are built, buffer
-    0 holds ex G and the two 64-row blocks of the feature invariants, and
-    the statistic's A * B; the dense invariants' M @ M, M * M and product
-    buffer go into buffers 0, 3 and 4.  A call with z and every side
-    factored (r_z at most n / 4, n >= 350) holds buffer 0 alone.  Allocated
-    afresh are z's condensed distances, freed before its factor, and for
-    the greedy factors an n x n / 4 buffer while one grows, the distances
-    of its median bandwidth and the n x r sides.  At the benchmark's ranks
-    a warm call stays below one n x n array of fresh memory, so a thread
-    that reuses one workspace faults no n x n array in.  The sampled
-    permutation null allocates more.
+    the update's r_z x n product C; buffer 4 its r_z x r_z product C U,
+    and L L' of :func:`_z_factor` before it where r_z passes 0.618 n.
+    Once the sides are built, buffer 0 holds ex G and the two 64-row blocks
+    of the feature invariants, and the statistic's A * B; the dense
+    invariants' M @ M, M * M and product buffer go into buffers 0, 3 and 4.
+    A call with z and every side factored (r_z at most n / 4, n >= 350)
+    holds buffer 0 alone.  Allocated afresh are z's condensed distances,
+    freed before its factor, and for the greedy factors an n x n / 4 buffer
+    while one grows, the distances of its median bandwidth and the n x r
+    sides.  At the benchmark's ranks a warm call stays below one n x n
+    array of fresh memory, so a thread that reuses one workspace faults no
+    n x n array in.  The sampled permutation null allocates more.
 
     Memo: ``_memo``, the :class:`_MemoKeys` of a :class:`_Memo`, lets calls
     on subsets of one data matrix share work.  A z factor found there is
     copied from the memo's slab into buffer 0, where :func:`_z_factor`
-    leaves a fresh one, and a z known to be past the cap goes dense without
-    a ``dpstrf``; invariants found there are not computed again.  The sides
-    and the statistic are built in full either way, so p is bit-identical
-    with and without a memo.
+    leaves a fresh one; invariants found there are not computed again.  The
+    sides and the statistic are built in full either way, so p is
+    bit-identical with and without a memo.
 
-    Threads: ``dpstrf`` and the ridge inverses (LAPACK), the Woodbury
-    update's ``dgemm`` and ``dsyr2k``, the other products and each kernel
-    column of a greedy factor (BLAS), and numpy's n x n elementwise work
-    run with the GIL released, so subtests on several threads overlap them.
-    What holds it is the ``pdist`` behind each block's median bandwidth, the
-    ``squareform`` scatter of each dense Gram, the Python step between two
-    greedy factor columns, the cumulant tables and the null tail.  A
-    workspace must not be shared by two threads at once.
+    Threads: ``dpstrf`` and ``dpotrf`` (LAPACK), the ``dtrsm`` that makes
+    U, the Woodbury update's ``dgemm`` and ``dsyr2k``, the other products
+    and each kernel column of a greedy factor (BLAS), and numpy's n x n
+    elementwise work run with the GIL released, so subtests on several
+    threads overlap them.  What holds it is the ``pdist`` behind each
+    block's median bandwidth, the ``squareform`` scatter of each dense Gram,
+    the Python step between two greedy factor columns, the cumulant tables
+    and the null tail.  A workspace must not be shared by two threads at
+    once.
     """
     t0 = time.perf_counter()
     spec = spec or CITestSpec(method="kcit")
@@ -732,14 +723,13 @@ def kcit(data, spec=None, *, _workspace=None, _memo=None):
 def _kcit_sides(x, y, z, eps, workspace, memo=None):
     """kcit's two sides, for (x, z) and y: each a factor Rz L or a dense Rz K Rz.
 
-    ``z`` is None for d_z = 0, where Rz = I.  A z whose rank stays within the
-    z cap gives Rz = I - Lz W Lz' (:func:`_z_factor`): a factored side
-    becomes L - Lz (W (Lz' L)), and a dense one goes through
-    :func:`_woodbury_regress`.  Past the cap Rz is the dense n x n
-    eps (Kz + eps I)^-1, and (x, z), whose rank is at least z's, is built
-    dense without a try, as it is whenever z's rank passes the x and y cap.
-    The buffers of ``workspace`` are used as :func:`kcit` describes, and
-    z's factor comes from ``memo``, a :class:`_MemoKeys`, when it is given.
+    ``z`` is None for d_z = 0, where Rz = I.  Otherwise Rz = I - U U' with
+    U' from :func:`_z_factor`: a factored side becomes L - U (U' L), and a
+    dense one goes through :func:`_woodbury_regress`.  (x, z), whose rank is
+    at least z's, is built dense without a try when z's rank passes the x
+    and y cap.  The buffers of ``workspace`` are used as :func:`kcit`
+    describes, and z's factor comes from ``memo``, a :class:`_MemoKeys`,
+    when it is given.
     """
     n = x.shape[0]
     cap = int(_RANK_CAP_SHARE * n) if n >= _FACTOR_MIN_ROWS else 0
@@ -751,47 +741,14 @@ def _kcit_sides(x, y, z, eps, workspace, memo=None):
         sigma = _KCIT_BANDWIDTH_SCALE * median_heuristic(block)
         return _gram_factor(block, sigma, cap), sigma
 
-    def residualize(L):
-        return L
-
-    def regress(K):
-        return K
-
+    ut = None
     blocks = ((x, True), (y, True))
     if z is not None:
         if memo is None:
-            factored = _z_factor(z, eps, workspace)
+            ut = _z_factor(z, eps, workspace)
         else:
-            factored = memo.memo.z_factor(memo.z, z, eps, workspace)
-        if factored is None:
-            Rz, tmp = workspace.take(n, 0), workspace.take(n, 3)
-            _center(_gaussian_gram(z, out=Rz, scratch=tmp), tmp)
-            Rz.flat[::n + 1] += eps
-            _spd_inverse(Rz)
-            Rz *= eps
-
-            def residualize(L):
-                return Rz @ L
-
-            def regress(K):
-                return np.matmul(np.matmul(Rz, K, out=tmp), Rz, out=K)
-            try_xz = False
-        else:
-            lt, W = factored
-            Q = None
-
-            def residualize(L):
-                return L - lt.T @ (W @ (lt @ L))
-
-            def regress(K):
-                nonlocal Q
-                if Q is None:  # W Lz', made in buffer 4 for the first dense side
-                    Q = np.matmul(W, lt, out=workspace.take(n, 4).reshape(-1)[:lt.size]
-                                  .reshape(lt.shape))
-                return _woodbury_regress(K, lt, Q, workspace)
-            # the rank of (x, z) is at least z's
-            try_xz = lt.shape[0] <= cap
-        blocks = ((np.hstack([x, z]), try_xz), (y, True))
+            ut = memo.memo.z_factor(memo.z, z, eps, workspace)
+        blocks = ((np.hstack([x, z]), ut.shape[0] <= cap), (y, True))
 
     sides = []
     for i, (block, tried) in enumerate(blocks):
@@ -799,67 +756,70 @@ def _kcit_sides(x, y, z, eps, workspace, memo=None):
         if L is None:
             tmp = workspace.take(n, 3)
             K = _gaussian_gram(block, out=workspace.take(n, 1 + i), scratch=tmp, sigma=sigma)
-            sides.append(regress(_center(K, tmp)))
+            K = _center(K, tmp)
+            sides.append(K if ut is None else _woodbury_regress(K, ut, workspace))
         else:
-            sides.append(residualize(L))
+            sides.append(L if ut is None else L - ut.T @ (ut @ L))
         del L  # free the raw factor before the next block's is built
     return sides
 
 
 def _z_factor(z, eps, workspace):
-    """(Lz', W) for Rz = I - Lz W Lz', as views into buffer 0; None past the z cap.
+    """U' for Rz = eps (Kz + eps I)^-1 = I - U U', as an r x n view into buffer 0.
 
     z's Gaussian Gram is built dense in buffer 0 and factored there by
     :func:`_pivoted_cholesky` to a residual trace of at most
     ``_FACTOR_TOL * n``, the bound :func:`_gram_factor` meets; as there, the
     columns are centred afterwards, so Lz Lz' is within that trace of the
-    centred Gram.  A rank r above ``_Z_RANK_CAP_SHARE * n`` returns None.
-    Lz' stays in the first r rows of the buffer, its columns put back in the
-    row order of z through the rows after it.  By Woodbury,
-    eps (Lz Lz' + eps I)^-1 = I - Lz W Lz' with W = (Lz' Lz + eps I)^-1, the
-    r x r inverse from :func:`_spd_inverse`, which takes the r^2 entries
-    after Lz'; they fit while r <= 0.618 n.
+    centred Gram.  The rank r is whatever ``dpstrf`` returns, up to n.  Lz'
+    takes the first r rows of the buffer, its columns put back in the row
+    order of z.  By Woodbury, eps (Lz Lz' + eps I)^-1 = I - U U' with
+    U = Lz L^-T, where L L' = Lz' Lz + eps I, and :func:`_whiten` turns Lz'
+    into U' in place.  L L' and the rows through which the columns are
+    reordered take the entries after Lz' while r (n + r) <= n^2, that is
+    up to r = 0.618 n, and buffer 4 past that, which the update of the
+    dense (x, z) side takes next in any case.
     """
     n = z.shape[0]
     flat = workspace.take(n, 0).reshape(-1)
     r, piv = _pivoted_cholesky(_gaussian_gram(z, out=flat.reshape(n, n)), _FACTOR_TOL)
-    if r > _Z_RANK_CAP_SHARE * n:
-        return None
     lt = flat[:r * n].reshape(r, n)
     for lo in range(0, r, _ROW_BLOCK):  # clear the Gram left of the factor's diagonal
         hi = min(lo + _ROW_BLOCK, r)
         lt[lo:hi, :lo] = 0.0
         np.copyto(lt[lo:hi, lo:hi], 0.0, where=_STRICT_LOWER[:hi - lo, :hi - lo])
+    rest = flat[r * n:] if r * (n + r) <= n * n else workspace.take(n, 4).reshape(-1)
+    step = rest.size // n
     order = np.empty_like(piv)
     order[piv] = np.arange(n, dtype=piv.dtype)
-    for lo in range(0, r, n - r):
-        hi = min(lo + n - r, r)
-        rows = flat[r * n:(r + hi - lo) * n].reshape(hi - lo, n)
+    for lo in range(0, r, step):
+        hi = min(lo + step, r)
+        rows = rest[:(hi - lo) * n].reshape(hi - lo, n)
         lt[lo:hi] = np.take(lt[lo:hi], order, axis=1, out=rows, mode="clip")
     lt -= lt.mean(axis=1, keepdims=True)
-    W = np.matmul(lt, lt.T, out=flat[r * n:r * (n + r)].reshape(r, r))
-    W.flat[::r + 1] += eps
-    return lt, _spd_inverse(W)
+    g = np.matmul(lt, lt.T, out=rest[:r * r].reshape(r, r))
+    g.flat[::r + 1] += eps
+    return _whiten(g, lt)
 
 
-def _woodbury_regress(K, lt, Q, workspace):
-    """Rz K Rz for Rz = I - Lz Q, Q = W Lz', in place in the dense centred Gram K.
+def _woodbury_regress(K, ut, workspace):
+    """Rz K Rz for Rz = I - U U', in place in the dense centred Gram K; ``ut`` is U'.
 
-    With C = Q K and F = C - (C Q') Lz' / 2, Rz K Rz = K - (Lz F + F' Lz').
+    With C = U' K and F = C - (C U) U' / 2, Rz K Rz = K - (U F + F' U').
     BLAS ``dsyr2k`` subtracts the bracket from the upper triangle of K, which
     is then mirrored, so the result is exactly symmetric: 2 n^2 r multiply-
     adds and 2 n r^2 more, against 2 n^3 for the dense products.  C, then
-    F, takes the first r x n entries of buffer 3 and C Q' the r^2 after them.
+    F, takes the first r x n entries of buffer 3 and C U the first r^2 of
+    buffer 4.
     """
-    r, n = lt.shape
-    flat = workspace.take(n, 3).reshape(-1)
-    C = np.matmul(Q, K, out=flat[:r * n].reshape(r, n))
-    U = np.matmul(C, Q.T, out=flat[r * n:r * (n + r)].reshape(r, r))
+    r, n = ut.shape
+    C = np.matmul(ut, K, out=workspace.take(n, 3).reshape(-1)[:r * n].reshape(r, n))
+    V = np.matmul(C, ut.T, out=workspace.take(n, 4).reshape(-1)[:r * r].reshape(r, r))
     rows, size = ctypes.c_int(n), ctypes.c_int(r)
-    # in Fortran order BLAS sees lt, C and U as the n x r Lz and C' and the r x r U'
-    _DGEMM(b"N", b"N", rows, size, size, ctypes.c_double(-0.5), lt.ctypes.data, rows,
-           U.ctypes.data, size, ctypes.c_double(1.0), C.ctypes.data, rows)
-    _DSYR2K(b"L", b"N", rows, size, ctypes.c_double(-1.0), lt.ctypes.data, rows, C.ctypes.data,
+    # in Fortran order BLAS sees ut, C and V as the n x r U and C' and the r x r V'
+    _DGEMM(b"N", b"N", rows, size, size, ctypes.c_double(-0.5), ut.ctypes.data, rows,
+           V.ctypes.data, size, ctypes.c_double(1.0), C.ctypes.data, rows)
+    _DSYR2K(b"L", b"N", rows, size, ctypes.c_double(-1.0), ut.ctypes.data, rows, C.ctypes.data,
             rows, ctypes.c_double(1.0), K.ctypes.data, rows)
     return _mirror_upper(K)
 

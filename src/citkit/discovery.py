@@ -165,8 +165,8 @@ def make_cit_tester(data, spec: CITestSpec, config=None):
     buffers, each taken on the first query that needs it and kept as long
     as the tester, so a warm query allocates no n x n array.  Every query
     takes one; queries with dense sides take more, up to five when both
-    sides are dense.  A factored z lives in those buffers as an n x r_z
-    factor; factored x and y sides are n x r arrays allocated per query.
+    sides are dense.  z lives in those buffers as its n x r_z factor U;
+    factored x and y sides are n x r arrays allocated per query.
     The ensemble keeps its own per-thread workspaces.
 
     A kcit tester keeps a memo (:class:`citkit.cit._Memo`) as long as it
@@ -174,14 +174,14 @@ def make_cit_tester(data, spec: CITestSpec, config=None):
     the same row subsets.  It holds z's factor for each (S, subset), and the
     invariants of the null for each (x column, S, subset) and (y column, S,
     subset); with S empty a column's x and y sides are one entry.  A query
-    that finds them skips z's Gram, its pivoted Cholesky and W, or the
-    invariants of that side, and its p-value is the same bit for bit.  The z
-    factors share one slab of 1.5 MB (``cit._Z_STORE_BYTES``), refilled
-    first in, first out; a z past the z cap is remembered as such.  The
-    invariants are kept for every side, 20 floats each.  ``tester.memo_counts()``
-    returns the hits and misses of both stores so far.  The memo is safe for
-    the ensemble's subtest threads, but the tester must not be called from
-    two threads at once.
+    that finds them skips z's Gram, its pivoted Cholesky and the triangular
+    solve that makes z's factor U, or the invariants of that side, and its
+    p-value is the same bit for bit.  The z factors share one slab of 1.5 MB
+    (``cit._Z_STORE_BYTES``), refilled first in, first out, where each takes
+    r_z n floats.  The invariants are kept for every side, 20 floats each.
+    ``tester.memo_counts()`` returns the hits and misses of both stores so
+    far.  The memo is safe for the ensemble's subtest threads, but the
+    tester must not be called from two threads at once.
     """
     data = np.asarray(data, dtype=float)
     workspace = _Workspace() if config is None else None

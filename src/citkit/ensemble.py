@@ -238,8 +238,9 @@ def ecit(data: DataTriple, base: CITestSpec, config: EnsembleConfig, *,
     threads.  To run on one core, pin the affinity mask to one core or leave
     BLAS unpinned.  The threads overlap only where the base test releases
     the GIL; see :func:`citkit.cit.kcit` for which of its steps do.  A
-    kcit subtest factors z's Gram in LAPACK (``dpstrf``) and applies the
-    regression on z by BLAS, with the GIL released, and builds each kernel
+    kcit subtest factors z's Gram in LAPACK (``dpstrf``) at every rank,
+    makes the factor U of its regression on z by ``dpotrf`` and ``dtrsm``
+    and applies it by BLAS, with the GIL released, and builds each kernel
     column of a greedy x or y factor by BLAS too, while the median
     ``pdist`` of each block and the Python step between two greedy factor
     columns hold it.  Each thread reuses one kcit workspace, up to five

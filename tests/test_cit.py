@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, lapack, solve_triangular
 from scipy.spatial.distance import pdist, squareform
 
 from citkit import cit
@@ -23,8 +23,8 @@ from citkit.cit import (
     _center,
     _gaussian_gram,
     _gram_factor,
-    _spd_inverse,
     _standardize,
+    _whiten,
     _Workspace,
     DataTriple,
     fisher_z,
@@ -332,17 +332,20 @@ class TestKcit:
 def dense_kcit(data, spec=CITestSpec(method="kcit")):
     """kcit with every Gram built dense: (p, statistic, flags).
 
-    The arithmetic kcit had before its factor path, step for step, so a kcit
-    whose blocks all give their factors up must agree with it bit for bit.
+    Rz = eps (Kz + eps I)^-1 is solved dense by scipy's Cholesky, so the
+    reference shares no code with kcit's regression on z.  Without z it is
+    the arithmetic kcit had before its factor path, step for step, so a kcit
+    whose two blocks both give their factors up must agree with it bit for
+    bit.
     """
     n = data.n
     x, y = _standardize(data.x, "x"), _standardize(data.y, "y")
     if data.z.shape[1]:
         z = _standardize(data.z, "z")
         eps = spec.ridge * n
-        Rz = _center(_gaussian_gram(z))
-        Rz.flat[::n + 1] += eps
-        Rz = _spd_inverse(Rz) * eps
+        Kz = _center(_gaussian_gram(z))
+        Kz.flat[::n + 1] += eps
+        Rz = cho_solve(cho_factor(Kz, lower=True), np.eye(n)) * eps
         A = Rz @ _center(_gaussian_gram(np.hstack([x, z]))) @ Rz
         B = Rz @ _center(_gaussian_gram(y)) @ Rz
     else:
@@ -422,7 +425,6 @@ class TestFactorPath:
         x, y, z = (_standardize(block, "block") for block in (data.x, data.y, data.z))
         eps = 1e-3 * n
         sides = cit._kcit_sides(x, y, z, eps, _Workspace())
-        assert cit._z_factor(z, eps, _Workspace()) is not None
         Rz = _center(_gaussian_gram(z))
         Rz.flat[::n + 1] += eps
         Rz = np.linalg.inv(Rz) * eps
@@ -443,17 +445,41 @@ class TestFactorPath:
         n = data.n
         z = _standardize(data.z, "z")
         eps = 1e-3 * n
-        lt, W = cit._z_factor(z, eps, _Workspace())
-        assert lt.shape[0] < n
-        residual = _center(_gaussian_gram(z)) - lt.T @ lt
+        ut = cit._z_factor(z, eps, _Workspace())
+        r = ut.shape[0]
+        assert r < n
+        # U = Lz L^-T from scipy's own dpstrf, centred, and a triangular solve
+        Kz = _center(_gaussian_gram(z))
+        c, piv, rank, _ = lapack.dpstrf(_gaussian_gram(z), lower=1, tol=1e-12)
+        Lz = np.zeros((n, r))
+        Lz[piv - 1] = np.tril(c)[:, :r]
+        Lz -= Lz.mean(axis=0)
+        residual = Kz - Lz @ Lz.T
         # as for the greedy factor, the residual is positive semidefinite up
         # to rounding, so its trace bounds every entry
+        assert rank == r
         assert -1e-12 * n <= np.trace(residual) <= 1e-12 * n
         assert np.abs(residual).max() <= 1e-12 * n
-        assert np.abs(lt.sum(axis=1)).max() <= 1e-10
-        ridge = lt @ lt.T
-        ridge.flat[::ridge.shape[0] + 1] += eps
-        assert np.abs(W @ ridge - np.eye(ridge.shape[0])).max() <= 1e-12
+        L = np.linalg.cholesky(Lz.T @ Lz + eps * np.eye(r))
+        assert np.abs(ut - solve_triangular(L, Lz.T, lower=True)).max() <= 1e-12
+        assert np.abs(ut.sum(axis=1)).max() <= 1e-10
+        # I - U U' is the ridge regression on z, up to the factor's residual
+        Kz.flat[::n + 1] += eps
+        Rz = cho_solve(cho_factor(Kz, lower=True), np.eye(n)) * eps
+        assert np.abs(np.eye(n) - ut.T @ ut - Rz).max() <= 1e-12 * n / eps + 1e-12
+
+    @pytest.mark.parametrize("n, d_z", [(200, 4), (200, 6), (400, 6)])
+    @pytest.mark.parametrize("hypothesis", ["H0", "H1"])
+    def test_p_within_1e_10_of_the_dense_test_at_full_z_rank(self, n, d_z, hypothesis):
+        # four independent columns give z a rank of 0.98 n and more at
+        # n = 200, six a rank of n
+        ranks = []
+        for seed in range(10):
+            data = _pnl_triple(n, d_z, hypothesis, seed)
+            ranks.append(cit._z_factor(_standardize(data.z, "z"), 1e-3 * n, _Workspace()).shape[0])
+            _assert_near_the_dense_test(data)
+        assert min(ranks) >= 0.98 * n
+        assert d_z < 6 or min(ranks) == n
 
     def test_dpstrf_argument_error_raises_numerical_error(self, monkeypatch):
         def fail(uplo, n, a, lda, piv, rank, tol, work, info):
@@ -463,11 +489,13 @@ class TestFactorPath:
         with pytest.raises(NumericalError, match="pivoted Cholesky .* info -4"):
             kcit(_pnl_triple(200, 1, "H0", seed=0))
 
-    @pytest.mark.parametrize("data", [_scm_triple(200, 3, seed=0), _pnl_triple(300, 2, "H1", 38)],
-                             ids=["scm-200-3", "pnl-300-2"])
+    # z's rank is 84-125 at scm-200-3 and n at pnl-200-6, where L L' goes
+    # into buffer 4
+    @pytest.mark.parametrize("data", [_scm_triple(200, 3, seed=0), _pnl_triple(300, 2, "H1", 38),
+                                      _pnl_triple(200, 6, "H0", 38)],
+                             ids=["scm-200-3", "pnl-300-2", "pnl-200-6"])
     def test_warm_call_with_a_factored_z_allocates_less_than_one_n_by_n_array(self, data):
         n = data.n
-        assert cit._z_factor(_standardize(data.z, "z"), 1e-3 * n, _Workspace()) is not None
         workspace = _Workspace()
         kcit(data, _workspace=workspace)
         tracemalloc.start()
@@ -482,7 +510,7 @@ class TestFactorPath:
     def test_workspace_allocates_only_the_buffers_a_call_takes(self, d_z, taken):
         # at n = 400 every block with one or two columns factors; with three
         # columns of z, (x, z) is dense and takes its Gram's buffer, the
-        # distance and update buffer 3 and the buffer 4 of W Lz'
+        # distance and update buffer 3 and the update's buffer 4
         workspace = _Workspace()
         kcit(_pnl_triple(400, d_z, "H1", seed=39), _workspace=workspace)
         assert {i for i, flat in enumerate(workspace._flat) if flat is not None} == taken
@@ -518,9 +546,9 @@ class TestFactorPath:
     @pytest.mark.parametrize("columns", [(6, 6, 0), (6, 6, 6), (1, 6, 0), (6, 1, 0),
                                          (1, 1, 6)])
     def test_blocks_past_the_cap_take_the_dense_path(self, columns):
-        # six independent columns give a Gram of rank near n: every block
-        # with six gives its factor up, and with none factored the test is
-        # the dense one bit for bit
+        # six independent columns give a Gram of rank near n: every x or y
+        # block with six gives its factor up, and with none factored and no
+        # z the test is the dense one bit for bit; z's factor has rank n
         rng = np.random.default_rng(33)
         dx, dy, dz = columns
         x = rng.standard_normal((400, dx))
@@ -529,11 +557,12 @@ class TestFactorPath:
         data = DataTriple(x, y, z)
         p, stat, flags = dense_kcit(data)
         out = kcit(data)
-        if 1 not in columns:
+        if 1 not in columns and not dz:
             assert (out.p.hex(), out.statistic.hex(), out.flags) == (p.hex(), stat.hex(), flags)
         else:
             assert abs(out.p - p) <= 1e-10
             assert out.statistic == pytest.approx(stat, rel=1e-8)
+            assert out.flags == flags
 
     @pytest.mark.parametrize("columns", [(1, 1, 1), (1, 1, 3), (1, 6, 0)])
     def test_sampled_null_equals_the_dense_one(self, columns):
@@ -549,10 +578,13 @@ class TestFactorPath:
 
 
 def _ridge_matrix(n, d_z, seed):
-    """kcit's ridge matrix: a centred Gaussian Gram plus 1e-3 n on its diagonal."""
-    Kz = _center(_gaussian_gram(np.random.default_rng(seed).standard_normal((n, d_z))))
-    Kz.flat[::n + 1] += 1e-3 * n
-    return Kz
+    """kcit's ridge matrix on z's factor: Lz' Lz plus 1e-3 n on its diagonal, and Lz'."""
+    z = np.random.default_rng(seed).standard_normal((n, d_z))
+    c, piv, rank, _ = lapack.dpstrf(_gaussian_gram(z), lower=1, tol=1e-12)
+    lt = np.ascontiguousarray(np.tril(c)[:, :rank].T)
+    g = lt @ lt.T
+    g.flat[::rank + 1] += 1e-3 * n
+    return g, lt
 
 
 class TestRidgeInverse:
@@ -580,38 +612,50 @@ class TestRidgeInverse:
 
     @pytest.mark.parametrize("n", [8, 63, 200, 401])
     def test_matches_cholesky_solve(self, n):
-        Kz = _ridge_matrix(n, 2, seed=n)
-        ref = cho_solve(cho_factor(Kz, lower=True), np.eye(n))
-        got = _spd_inverse(Kz.copy())
+        g, lt = _ridge_matrix(n, 2, seed=n)
+        ref = solve_triangular(cho_factor(g, lower=True)[0], lt, lower=True)
+        got = _whiten(g.copy(), lt.copy())
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("n", [8, 63, 64, 65, 200, 401])
-    def test_inverse_is_bit_symmetric(self, n):
-        Rz = _spd_inverse(_ridge_matrix(n, 3, seed=n))
-        assert np.array_equal(Rz, Rz.T)
+    def test_update_is_bit_symmetric(self, n):
+        # the update's mirror works in 64-row blocks
+        rng = np.random.default_rng(n)
+        workspace = _Workspace()
+        ut = cit._z_factor(rng.standard_normal((n, 3)), 1e-3 * n, workspace)
+        K = _center(_gaussian_gram(rng.standard_normal((n, 2))))
+        Rz = np.eye(n) - ut.T @ ut
+        want = Rz @ K @ Rz
+        got = cit._woodbury_regress(K, ut, workspace)
+        assert np.array_equal(got, got.T)
+        assert np.abs(got - want).max() <= 1e-12 * n
 
     def test_two_threads_match_one(self):
-        mats = [_ridge_matrix(200, 1, seed=s) for s in range(8)]
-        serial = [_spd_inverse(m.copy()) for m in mats]
+        pairs = [_ridge_matrix(200, 1, seed=s) for s in range(8)]
+        serial = [_whiten(g.copy(), lt.copy()) for g, lt in pairs]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=2) as pool:
                 for _ in range(5):
-                    pooled = list(pool.map(lambda m: _spd_inverse(m.copy()), mats, timeout=60))
+                    pooled = list(pool.map(lambda pair: _whiten(pair[0].copy(), pair[1].copy()),
+                                           pairs, timeout=60))
                     assert all(np.array_equal(a, b) for a, b in zip(pooled, serial))
         finally:
             sys.setswitchinterval(interval)
 
     def test_not_positive_definite_raises(self):
-        a = np.eye(5)
-        a[3, 3] = -1.0
+        g = np.eye(5)
+        g[3, 3] = -1.0
         with pytest.raises(NumericalError, match="Cholesky factorization .* info 4"):
-            _spd_inverse(a)
+            _whiten(g, np.ones((5, 7)))
 
     def test_rejects_fortran_order(self):
+        g, lt = _ridge_matrix(10, 1, seed=0)
         with pytest.raises(ValueError, match="C-contiguous"):
-            _spd_inverse(np.asfortranarray(_ridge_matrix(10, 1, seed=0)))
+            _whiten(np.asfortranarray(g), lt)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _whiten(g, np.asfortranarray(lt))
 
 
 class TestRcit:

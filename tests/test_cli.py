@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,6 @@ import pytest
 import citkit
 from citkit import bench, cit
 from citkit.cli import main
-from citkit.errors import NumericalError
 
 SRC = str(Path(citkit.__file__).resolve().parent.parent)
 
@@ -89,14 +89,16 @@ def test_data_error_exits_3(chain_csv, tmp_path, capsys):
 
 
 def test_numerical_error_exits_4(chain_csv, monkeypatch, capsys):
-    def fail(a):
-        raise NumericalError("Cholesky factorization of the ridge matrix failed")
+    # LAPACK reports a ridge matrix that is not positive definite
+    def fail(uplo, n, a, lda, info):
+        info.value = 2
 
-    monkeypatch.setattr(cit, "_spd_inverse", fail)
+    monkeypatch.setattr(cit, "_DPOTRF", fail)
     rc = main(["cit", "run", "--data", str(chain_csv), "--x", "a", "--y", "b", "--z", "c",
                "--method", "kcit"])
     assert rc == 4
-    assert "error: Cholesky factorization" in capsys.readouterr().err
+    assert re.search(r"error: Cholesky factorization of the \d+ x \d+ ridge matrix failed "
+                     r"\(LAPACK info 2\)", capsys.readouterr().err)
 
 
 def test_bench_pc_on_four_variables(tmp_path):

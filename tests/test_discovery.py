@@ -210,7 +210,9 @@ class TestTesterMemo:
         def check_slab(tester):
             memo = tester.memo_counts.__self__
             assert memo._slab.nbytes == budget
-            extents = sorted(entry[:2] for entry in memo._z.values() if entry is not None)
+            # each entry holds U' alone, r_z rows of n_k = 100 floats
+            assert all(hi - lo == r * 100 for lo, hi, r in memo._z.values())
+            extents = sorted(entry[:2] for entry in memo._z.values())
             assert all(0 <= lo < hi <= memo._slab.size for lo, hi in extents)
             assert all(a[1] <= b[0] for a, b in zip(extents, extents[1:]))
         queries, tester = self._run(values, self.CONFIG, check_slab)
@@ -220,9 +222,9 @@ class TestTesterMemo:
 
     @pytest.mark.parametrize("n, config", [(200, None), (400, EnsembleConfig(n_k=200, seed=3))],
                              ids=["plain", "ensemble"])
-    def test_a_z_past_the_cap_is_factored_once_per_subset(self, n, config, monkeypatch):
-        # three independent columns at 200 rows have a z rank past 0.6 n
-        values = np.random.default_rng(8).standard_normal((n, 5))
+    def test_a_full_rank_z_is_factored_once_per_subset(self, n, config, monkeypatch):
+        # six independent columns of z at 200 rows have a Gram of rank 200
+        values = np.random.default_rng(8).standard_normal((n, 8))
         ranks = []
 
         def counted(a, tol):
@@ -232,11 +234,11 @@ class TestTesterMemo:
         factor = cit._pivoted_cholesky
         monkeypatch.setattr(cit, "_pivoted_cholesky", counted)
         tester = make_cit_tester(values, self.SPEC, config)
-        queries = [(0, 1, (2, 3, 4)), (1, 0, (2, 3, 4)), (0, 1, (2, 3, 4))]
+        S = (2, 3, 4, 5, 6, 7)
+        queries = [(0, 1, S), (1, 0, S), (0, 1, S)]
         ps = [tester(*q) for q in queries]
         subsets = 1 if config is None else n // config.n_k
-        assert len(ranks) == subsets
-        assert min(ranks) > cit._Z_RANK_CAP_SHARE
+        assert ranks == [1.0] * subsets
         assert tester.memo_counts()["z_hits"] == 2 * subsets
         monkeypatch.setattr(cit, "_pivoted_cholesky", factor)
         for (i, j, S), p in zip(queries, ps):
