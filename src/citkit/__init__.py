@@ -50,19 +50,7 @@ from .discovery import (
     skeleton_metrics,
     skeleton_of_graph,
 )
-from .bench import (
-    ExperimentConfig,
-    MethodSpec,
-    MetricsReport,
-    ReportRow,
-    build_experiment,
-    emit_report,
-    load_csv,
-    load_data_triple,
-    parse_config_text,
-    run_experiment,
-    runtime_profile,
-)
+from .bench import load_csv, load_data_triple
 
 
 __all__ = [
@@ -97,22 +85,13 @@ __all__ = [
     "EnsembleConfig",
     "ecit",
     "partition",
-    "runtime_profile",
     "SkeletonGraph",
     "make_cit_tester",
     "make_dsep_oracle",
     "pc_skeleton",
     "skeleton_metrics",
     "skeleton_of_graph",
-    "ExperimentConfig",
-    "MethodSpec",
-    "MetricsReport",
-    "ReportRow",
-    "build_experiment",
-    "emit_report",
     "load_csv",
     "load_data_triple",
-    "parse_config_text",
-    "run_experiment",
     "__version__",
 ]

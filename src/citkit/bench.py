@@ -420,13 +420,17 @@ def parse_config_text(text: str) -> dict:
     return flat
 
 
-def _parse_noise(token):
+def parse_noise(token, name):
+    """(dist, df) of a noise token ``dist`` or ``dist:df``, df None without one.
+
+    A df that is not a number raises ``ConfigError`` naming the setting ``name``.
+    """
     if isinstance(token, str) and ":" in token:
         dist, _, df = token.partition(":")
         try:
             return dist, float(df)
         except ValueError:
-            raise ConfigError(f"gen.noise takes dist or dist:df, got {token!r}") from None
+            raise ConfigError(f"{name} takes dist or dist:df, got {token!r}") from None
     return token, None
 
 
@@ -479,7 +483,7 @@ def build_experiment(flat: dict) -> ExperimentConfig:
             value = flat.pop(key)
             if name == "noise":
                 dists = value if isinstance(value, list) else [value]
-                parsed = [_parse_noise(v) for v in dists]
+                parsed = [parse_noise(v, "gen.noise") for v in dists]
                 grid["noise_dist"] = [p[0] for p in parsed]
                 dfs = [p[1] for p in parsed if p[1] is not None]
                 if dfs:

@@ -13,16 +13,19 @@ Conventions shared by the kernel tests:
   factors are fixed per test; see the constants below);
 * the X-side kernel acts on the concatenation (x, z), following the original
   kernel-CI construction — without the augmentation the null is miscalibrated;
-* both end in a feature-space statistic where they can: rcit's features are
-  random Fourier features, kcit's are pivoted-Cholesky factors of its
-  centred Gram matrices wherever their rank stays small, and dense Grams
-  elsewhere (see :func:`kcit`);
-* both tests are calibrated by :mod:`citkit.permnull`: by default on the
-  analytic null of the trace statistic (:func:`~citkit.permnull.analytic_null_p`,
-  a normal-gamma convolution matched to the exact first four cumulants of the
-  statistic under random permutation, with a flagged two-moment gamma
-  fallback), or with ``permutations > 0`` on a sampled permutation null for
-  validation (:func:`~citkit.permnull.sampled_null_p`).
+* both regress x's and y's sides on z the same way, by I - U U' with U from
+  the ridge eps = ridge * n on a centred factor of z's kernel: rcit's factors
+  are random Fourier features, kcit's are pivoted-Cholesky factors of its
+  centred Gram matrices, dense Grams where their rank is large (see
+  :func:`kcit`);
+* both compute one statistic, tr(A B) of their two sides (rcit reports it
+  divided by n), and calibrate it by :mod:`citkit.permnull` in one place: by
+  default on the analytic null of the trace statistic
+  (:func:`~citkit.permnull.analytic_null_p`, a normal-gamma convolution
+  matched to the exact first four cumulants of the statistic under random
+  permutation, with a flagged two-moment gamma fallback), or with
+  ``permutations > 0`` on a sampled permutation null for validation
+  (:func:`~citkit.permnull.sampled_null_p`).
 """
 
 import ctypes
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cython_blas, cython_lapack
+from scipy.linalg import cython_blas, cython_lapack
 from scipy.spatial._distance_wrap import to_squareform_from_vector_wrap
 from scipy.spatial.distance import pdist
 from scipy.special import ndtr
@@ -200,12 +203,12 @@ class DataTriple:
 class CITestSpec:
     """Method selector plus per-method settings."""
 
-    method: str = "kcit"
-    num_features_xy: int = 100
-    num_features_z: int = 100
-    ridge: float = 1e-3
-    permutations: int = 0
-    seed: int = 0
+    method: str = "kcit"         # "fisherz", "kcit" or "rcit"
+    num_features_xy: int = 100   # rcit only: random features of (x, z) and of y, each
+    num_features_z: int = 100    # rcit only: random features of z
+    ridge: float = 1e-3          # both kernel tests regress on z with eps = ridge * n
+    permutations: int = 0        # kernel tests: > 0 samples this many permutations for p
+    seed: int = 0                # kernel tests' permutations, and rcit's features
 
     def __post_init__(self):
         if self.method not in _METHODS:
@@ -627,6 +630,36 @@ def _permuted(side, perm):
     return side[np.ix_(perm, perm)] if _is_dense(side) else side[perm]
 
 
+def _trace_test(sides, n, permutations, seed, workspace=None, memo=None):
+    """The statistic tr(A B) of a kernel test's two sides [a, b], its p and its flags.
+
+    With ``permutations > 0`` p is :func:`~citkit.permnull.sampled_null_p`'s,
+    drawn from ``seed``, with a permuted.  Otherwise it is
+    :func:`~citkit.permnull.analytic_null_p`'s on each side's invariants, or
+    on those ``memo``, a :class:`_MemoKeys`, holds; ``sides`` is emptied as
+    they are taken, b first, so each side is let go once it is done.  The
+    buffers of ``workspace`` serve as :func:`kcit` describes; without one,
+    every side must be a factor, and its invariants allocate their own.
+    """
+    out = workspace.take(n, 0) if all(_is_dense(side) for side in sides) else None
+    stat = _trace_product(*sides, out)
+    if permutations > 0:
+        a, b = sides
+        return stat, *sampled_null_p(
+            stat, lambda perm: _trace_product(_permuted(a, perm), b, out), n, permutations, seed)
+
+    def invariants(side, key):
+        def compute():
+            if _is_dense(side):
+                return dense_invariants(side, _scratch=[workspace.take(n, i) for i in (0, 3, 4)])
+            scratch = None if workspace is None else workspace.take(n, 0).reshape(-1)
+            return feature_invariants(side, _scratch=scratch)
+        return compute() if memo is None else memo.memo.invariants(key, compute)
+    inv_b = invariants(sides.pop(), memo and memo.y)
+    inv_a = invariants(sides.pop(), memo and memo.x)
+    return stat, *analytic_null_p(stat, inv_a, inv_b, n)
+
+
 def kcit(data, spec=None, *, _workspace=None, _memo=None):
     """Kernel CI test: trace statistic of z-regressed kernels, permutation-cumulant null.
 
@@ -698,24 +731,7 @@ def kcit(data, spec=None, *, _workspace=None, _memo=None):
     sides = _kcit_sides(_standardize(data.x, "x"), _standardize(data.y, "y"),
                         _standardize(data.z, "z") if dz else None, spec.ridge * n, workspace,
                         _memo)
-    out = workspace.take(n, 0) if all(_is_dense(side) for side in sides) else None
-    stat = _trace_product(*sides, out)
-    if spec.permutations > 0:
-        a, b = sides
-        p, flags = sampled_null_p(stat, lambda perm: _trace_product(_permuted(a, perm), b, out),
-                                  n, spec.permutations, spec.seed)
-    else:
-        def invariants(side, key):
-            def compute():
-                if _is_dense(side):
-                    scratch = [workspace.take(n, i) for i in (0, 3, 4)]
-                    return dense_invariants(side, _scratch=scratch)
-                return feature_invariants(side, _scratch=workspace.take(n, 0).reshape(-1))
-            return compute() if _memo is None else _memo.memo.invariants(key, compute)
-        # each side is let go once its invariants are taken, y's side first
-        inv_b = invariants(sides.pop(), _memo and _memo.y)
-        inv_a = invariants(sides.pop(), _memo and _memo.x)
-        p, flags = analytic_null_p(stat, inv_a, inv_b, n)
+    stat, p, flags = _trace_test(sides, n, spec.permutations, spec.seed, workspace, _memo)
     return TestOutcome(p=p, statistic=stat, method="kcit", n_used=n,
                        elapsed=time.perf_counter() - t0, flags=flags)
 
@@ -759,7 +775,7 @@ def _kcit_sides(x, y, z, eps, workspace, memo=None):
             K = _center(K, tmp)
             sides.append(K if ut is None else _woodbury_regress(K, ut, workspace))
         else:
-            sides.append(L if ut is None else L - ut.T @ (ut @ L))
+            sides.append(L if ut is None else _regress_factor(L, ut))
         del L  # free the raw factor before the next block's is built
     return sides
 
@@ -773,9 +789,8 @@ def _z_factor(z, eps, workspace):
     columns are centred afterwards, so Lz Lz' is within that trace of the
     centred Gram.  The rank r is whatever ``dpstrf`` returns, up to n.  Lz'
     takes the first r rows of the buffer, its columns put back in the row
-    order of z.  By Woodbury, eps (Lz Lz' + eps I)^-1 = I - U U' with
-    U = Lz L^-T, where L L' = Lz' Lz + eps I, and :func:`_whiten` turns Lz'
-    into U' in place.  L L' and the rows through which the columns are
+    order of z, and :func:`_ridge_factor` turns it into U' in place.  L L'
+    of that function and the rows through which the columns are
     reordered take the entries after Lz' while r (n + r) <= n^2, that is
     up to r = 0.618 n, and buffer 4 past that, which the update of the
     dense (x, z) side takes next in any case.
@@ -797,9 +812,26 @@ def _z_factor(z, eps, workspace):
         rows = rest[:(hi - lo) * n].reshape(hi - lo, n)
         lt[lo:hi] = np.take(lt[lo:hi], order, axis=1, out=rows, mode="clip")
     lt -= lt.mean(axis=1, keepdims=True)
-    g = np.matmul(lt, lt.T, out=rest[:r * r].reshape(r, r))
+    return _ridge_factor(lt, eps, rest)
+
+
+def _ridge_factor(lt, eps, scratch=None):
+    """U' for eps (F F' + eps I)^-1 = I - U U', in place in ``lt``, the r x n F'.
+
+    By Woodbury U = F L^-T, where L L' = F' F + eps I, and :func:`_whiten`
+    turns F' into U'.  L L' takes the first r^2 entries of ``scratch``, a
+    C-contiguous float64 vector, or fresh memory.
+    """
+    r = lt.shape[0]
+    g = np.matmul(lt, lt.T, out=None if scratch is None else scratch[:r * r].reshape(r, r))
     g.flat[::r + 1] += eps
     return _whiten(g, lt)
+
+
+def _regress_factor(e, ut):
+    """Rz e = e - U (U' e), in place in the n x m factor ``e``; ``ut`` is U'."""
+    e -= ut.T @ (ut @ e)
+    return e
 
 
 def _woodbury_regress(K, ut, workspace):
@@ -824,23 +856,32 @@ def _woodbury_regress(K, ut, workspace):
     return _mirror_upper(K)
 
 
-def _rff(block, n_features, sigma, rng):
-    """Random Fourier features for the Gaussian kernel with bandwidth sigma."""
-    d = block.shape[1]
-    W = rng.normal(0.0, 1.0 / sigma, size=(d, n_features))
+def _rff(block, n_features, rng, by_row=False):
+    """Centred random Fourier features of the rows of ``block`` for rcit's Gaussian kernel.
+
+    An n x k array, or with ``by_row`` its transpose, built as a C-contiguous
+    k x n array.
+    """
+    sigma = _RCIT_BANDWIDTH_SCALE * median_heuristic(block)
+    W = rng.normal(0.0, 1.0 / sigma, size=(block.shape[1], n_features))
     b = rng.uniform(0.0, 2.0 * np.pi, size=n_features)
-    features = block @ W
-    features += b
+    features = W.T @ block.T if by_row else block @ W
+    features += b[:, None] if by_row else b
     np.cos(features, out=features)
     features *= np.sqrt(2.0 / n_features)
+    features -= features.mean(axis=1 if by_row else 0, keepdims=True)
     return features
 
 
 def rcit(data, spec=None):
-    """Random-Fourier-feature CI test: residualized cross-covariance statistic.
+    """Random-Fourier-feature CI test: kcit with random features for factors.
 
-    Deterministic given spec.seed (feature frequencies and phases are the only
-    randomness).
+    The sides are the features ex of (x, z) and ey of y, regressed on z as
+    in kcit, by I - U U' with eps = ridge * n, with z's features in place of
+    its pivoted-Cholesky factor.  The statistic reported is tr(A B) / n, and the null is kcit's
+    on tr(A B); the sampled one permutes the rows of ey and draws from
+    ``spec.seed + 1``.  Deterministic given spec.seed (feature frequencies
+    and phases are the only randomness).
 
     Known miscalibration: on PNL H0 samples (seeds 5000-5099, feature seed =
     sample seed) the test rejects at 0.05 on 13 of 100 at n = 2000 with
@@ -850,44 +891,18 @@ def rcit(data, spec=None):
     t0 = time.perf_counter()
     spec = spec or CITestSpec(method="rcit")
     n, dz = data.n, data.z.shape[1]
-    x = _standardize(data.x, "x")
-    y = _standardize(data.y, "y")
+    x, y = _standardize(data.x, "x"), _standardize(data.y, "y")
+    z = _standardize(data.z, "z") if dz else None
     rng = np.random.default_rng(spec.seed)
+    ex = _rff(x if z is None else np.hstack([x, z]), spec.num_features_xy, rng)
+    sides = [_rff(y, spec.num_features_xy, rng), ex]  # ey first, as the sampled null permutes it
+    del ex
     if dz:
-        z = _standardize(data.z, "z")
-        xa = np.hstack([x, z])
-        ex = _rff(xa, spec.num_features_xy, _RCIT_BANDWIDTH_SCALE * median_heuristic(xa), rng)
-        ey = _rff(y, spec.num_features_xy, _RCIT_BANDWIDTH_SCALE * median_heuristic(y), rng)
-        fz = _rff(z, spec.num_features_z, _RCIT_BANDWIDTH_SCALE * median_heuristic(z), rng)
-        ex -= ex.mean(axis=0)
-        ey -= ey.mean(axis=0)
-        fz -= fz.mean(axis=0)
-        # ridge-residualize the x and y features on the z features, in place
-        czz = fz.T @ fz / n + spec.ridge * np.eye(fz.shape[1])
-        chol = cho_factor(czz, lower=True)
-        ex -= fz @ cho_solve(chol, fz.T @ ex / n)
-        ey -= fz @ cho_solve(chol, fz.T @ ey / n)
-        del fz
-    else:
-        ex = _rff(x, spec.num_features_xy, _RCIT_BANDWIDTH_SCALE * median_heuristic(x), rng)
-        ey = _rff(y, spec.num_features_xy, _RCIT_BANDWIDTH_SCALE * median_heuristic(y), rng)
-        ex -= ex.mean(axis=0)
-        ey -= ey.mean(axis=0)
-
-    cross = ex.T @ ey / n
-    stat = float(n * (cross * cross).sum())
-    if spec.permutations > 0:
-        def permuted(perm):
-            c = ex.T @ ey[perm] / n
-            return n * (c * c).sum()
-        p, flags = sampled_null_p(stat, permuted, n, spec.permutations, spec.seed + 1)
-    else:
-        # the reported statistic is tr(A B) / n for the outer-product kernels
-        # A = ex ex', B = ey ey'; calibrate on the unscaled trace
-        inv_x = feature_invariants(ex)
-        del ex
-        p, flags = analytic_null_p(n * stat, inv_x, feature_invariants(ey), n)
-    return TestOutcome(p=p, statistic=stat, method="rcit", n_used=n,
+        ut = _ridge_factor(_rff(z, spec.num_features_z, rng, by_row=True), spec.ridge * n)
+        sides = [_regress_factor(side, ut) for side in sides]
+        del ut
+    stat, p, flags = _trace_test(sides, n, spec.permutations, spec.seed + 1)
+    return TestOutcome(p=p, statistic=stat / n, method="rcit", n_used=n,
                        elapsed=time.perf_counter() - t0, flags=flags)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .bench import (ExperimentConfig, build_experiment, emit_report, load_csv,
-                    load_data_triple, parse_config_text, run_experiment)
+                    load_data_triple, parse_config_text, parse_noise, run_experiment)
 from .cit import CITestSpec, run_cit
 from .combine import CLASSICAL_METHODS, clamp_pvalues, combine_classical, combine_stable
 from .datagen import PnlConfig, gen_pnl, gen_random_dag, simulate_scm
@@ -212,13 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _noise_pair(token: str):
-    if ":" in token:
-        dist, _, df = token.partition(":")
-        return dist, float(df)
-    return token, 4.0
-
-
 def _cmd_stable(args):
     params = _stable_params(args)
     if args.stable_cmd == "cdf":
@@ -256,7 +249,8 @@ def _cmd_ecit(args):
 
 
 def _cmd_gen(args):
-    dist, df = _noise_pair(args.noise)
+    dist, df = parse_noise(args.noise, "--noise")
+    df = 4.0 if df is None else df  # both generators' default
     if args.gen_cmd == "pnl":
         data = gen_pnl(PnlConfig(hypothesis=args.hypothesis, n=args.n, d_z=args.dz,
                                  z_dist=args.z_dist, noise_dist=dist, noise_df=df,

@@ -36,7 +36,8 @@ from citkit.cit import (
 from citkit.cit import TestOutcome as CitOutcome
 from citkit.datagen import PnlConfig, gen_pnl, gen_random_dag, simulate_scm
 from citkit.errors import ConfigError, DataError, NumericalError
-from citkit.permnull import analytic_null_p, dense_invariants, sampled_null_p
+from citkit.permnull import (analytic_null_p, dense_invariants, feature_invariants,
+                             sampled_null_p)
 
 
 def _rep_seed(*key):
@@ -695,6 +696,89 @@ class TestRcit:
         y = np.tanh(x) + 0.3 * rng.standard_normal((300, 1))
         out = rcit(DataTriple(x, y, None), CITestSpec(method="rcit", seed=0))
         assert out.p < 0.01
+
+
+def _reference_rcit(data, spec):
+    """rcit as it stood before it shared kcit's z regression: (p, statistic, flags).
+
+    Random Fourier features of (x, z), y and z, centred; x's and y's are
+    ridge-regressed on z's by a Cholesky solve of fz'fz / n + ridge I, and
+    the statistic is n |ex'ey / n|^2, calibrated on the unscaled trace.
+    """
+    n, dz = data.n, data.z.shape[1]
+    rng = np.random.default_rng(spec.seed)
+
+    def rff(block, k):
+        sigma = cit._RCIT_BANDWIDTH_SCALE * median_heuristic(block)
+        W = rng.normal(0.0, 1.0 / sigma, size=(block.shape[1], k))
+        b = rng.uniform(0.0, 2.0 * np.pi, size=k)
+        f = np.cos(block @ W + b) * np.sqrt(2.0 / k)
+        return f - f.mean(axis=0)
+
+    x, y = _standardize(data.x, "x"), _standardize(data.y, "y")
+    if dz:
+        z = _standardize(data.z, "z")
+        ex = rff(np.hstack([x, z]), spec.num_features_xy)
+        ey = rff(y, spec.num_features_xy)
+        fz = rff(z, spec.num_features_z)
+        chol = cho_factor(fz.T @ fz / n + spec.ridge * np.eye(fz.shape[1]), lower=True)
+        ex = ex - fz @ cho_solve(chol, fz.T @ ex / n)
+        ey = ey - fz @ cho_solve(chol, fz.T @ ey / n)
+    else:
+        ex, ey = rff(x, spec.num_features_xy), rff(y, spec.num_features_xy)
+    cross = ex.T @ ey / n
+    stat = float(n * (cross * cross).sum())
+    if spec.permutations > 0:
+        def permuted(perm):
+            c = ex.T @ ey[perm] / n
+            return n * (c * c).sum()
+        p, flags = sampled_null_p(stat, permuted, n, spec.permutations, spec.seed + 1)
+    else:
+        p, flags = analytic_null_p(n * stat, feature_invariants(ex), feature_invariants(ey), n)
+    return p, stat, flags
+
+
+class TestRcitAgainstReference:
+    """rcit on kcit's z regression and null against its own Cholesky-solve form."""
+
+    @staticmethod
+    def _data(n, d_z, hypothesis):
+        data = gen_pnl(PnlConfig(hypothesis=hypothesis, n=n, d_z=max(d_z, 1),
+                                 seed=_rep_seed(60, n, d_z, hypothesis == "H1")))
+        return data if d_z else DataTriple(data.x, data.y, None)
+
+    @pytest.mark.parametrize("hypothesis", ["H0", "H1"])
+    @pytest.mark.parametrize("d_z", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [150, 400, 2000])
+    def test_matches_the_cholesky_solve_reference(self, n, d_z, hypothesis):
+        data = self._data(n, d_z, hypothesis)
+        spec = CITestSpec(method="rcit", seed=n + d_z)
+        out = rcit(data, spec)
+        p, stat, flags = _reference_rcit(data, spec)
+        assert abs(out.p - p) <= 1e-12
+        assert abs(out.statistic - stat) <= 1e-12 * stat
+        assert out.flags == flags
+
+    @pytest.mark.parametrize("d_z", [0, 1, 2, 3])
+    def test_sampled_null_matches_the_reference(self, d_z):
+        data = self._data(150, d_z, "H0")
+        spec = CITestSpec(method="rcit", seed=7 + d_z, permutations=60)
+        out = rcit(data, spec)
+        p, stat, flags = _reference_rcit(data, spec)
+        assert out.p == p
+        assert abs(out.statistic - stat) <= 1e-12 * stat
+        assert out.flags == flags == ("permutation_null",)
+
+    def test_feature_invariants_is_called_through_the_cit_module(self, monkeypatch):
+        # a tracer wraps cit.feature_invariants; both rcit sides must reach it there
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return feature_invariants(*args, **kwargs)
+        monkeypatch.setattr(cit, "feature_invariants", counted)
+        rcit(self._data(400, 2, "H0"), CITestSpec(method="rcit"))
+        assert calls == [(400, 100), (400, 100)]
 
 
 class TestUniformityUnderIndependence:

@@ -1,5 +1,6 @@
 """Tests for the command-line front-end and the package's import footprint."""
 
+import importlib
 import json
 import os
 import re
@@ -47,6 +48,35 @@ def test_python_m_citkit_runs_the_cli():
     payload = json.loads(out.stdout)
     assert payload["method"] == "fisher" and payload["K"] == 2
     assert payload["p_combined"] == pytest.approx(0.017478661367769955, abs=1e-12)
+
+
+def test_perfbench_citkit_names_resolve():
+    # the benchmark reads these names off the package; trimming it must keep them
+    root = Path(__file__).resolve().parent.parent / "perfbench"
+    text = "".join(path.read_text(encoding="utf-8") for path in sorted(root.glob("*.py")))
+    names = set(re.findall(r"\bcitkit\.([A-Za-z_]\w*)", text))
+    for line in re.findall(r"^from citkit import (.+)$", text, flags=re.M):
+        names.update(name.strip() for name in line.split(","))
+    assert {"combine_stable", "StableParams", "gen_pnl", "pc_skeleton"} <= names
+    for name in sorted(names):
+        if not hasattr(citkit, name):
+            importlib.import_module(f"citkit.{name}")  # a submodule, such as citkit.cli
+
+
+@pytest.mark.parametrize("gen", [["pnl"], ["dag", "--d", "4"]])
+def test_gen_rejects_a_non_numeric_noise_df(gen, tmp_path, capsys):
+    assert main(["--out", str(tmp_path / "g.csv"), "gen", *gen, "--n", "40",
+                 "--noise", "student_t:abc"]) == 2
+    assert capsys.readouterr().err == "error: --noise takes dist or dist:df, got 'student_t:abc'\n"
+    assert not (tmp_path / "g.csv").exists()
+
+
+@pytest.mark.parametrize("gen", [["pnl"], ["dag", "--d", "4"]])
+def test_gen_noise_df_defaults_to_4(gen, tmp_path):
+    out = tmp_path / "g.csv"
+    assert main(["--out", str(out), "gen", *gen, "--n", "40", "--noise", "student_t"]) == 0
+    meta = json.loads(Path(str(out) + ".meta.json").read_text(encoding="utf-8"))
+    assert (meta["noise_dist"], meta["noise_df"]) == ("student_t", 4.0)
 
 
 @pytest.fixture
