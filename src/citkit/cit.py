@@ -605,58 +605,58 @@ def _gram_factor(block, sigma, cap):
     return None
 
 
-def _is_dense(side):
-    """A kcit side is a dense n x n matrix, or an n x r factor with r < n."""
-    return side.shape[0] == side.shape[1]
+def _trace_product(a, b, dense, out):
+    """tr(A B) for two sides, each a dense matrix A or a factor e with A = e e'.
 
-
-def _trace_product(a, b, out):
-    """tr(A B) for two sides, each a dense matrix or a factor e with A = e e'.
-
-    Two dense sides multiply entrywise into ``out``, an n x n buffer.
+    ``dense`` says which of a and b is dense; two dense sides multiply
+    entrywise into ``out``, an n x n buffer.
     """
-    if _is_dense(a) and _is_dense(b):
+    if all(dense):
         return float(np.multiply(a, b, out=out).sum())
-    if _is_dense(a):
+    if dense[0]:
         a, b = b, a
-    if _is_dense(b):
+    if any(dense):
         return float(np.vdot(b @ a, a))
     c = a.T @ b
     return float(np.vdot(c, c))
 
 
-def _permuted(side, perm):
+def _permuted(side, dense, perm):
     """The side of A with rows and columns permuted by ``perm``."""
-    return side[np.ix_(perm, perm)] if _is_dense(side) else side[perm]
+    return side[np.ix_(perm, perm)] if dense else side[perm]
 
 
-def _trace_test(sides, n, permutations, seed, workspace=None, memo=None):
+def _trace_test(sides, dense, n, permutations, seed, workspace=None, memo=None):
     """The statistic tr(A B) of a kernel test's two sides [a, b], its p and its flags.
 
-    With ``permutations > 0`` p is :func:`~citkit.permnull.sampled_null_p`'s,
-    drawn from ``seed``, with a permuted.  Otherwise it is
-    :func:`~citkit.permnull.analytic_null_p`'s on each side's invariants, or
-    on those ``memo``, a :class:`_MemoKeys`, holds; ``sides`` is emptied as
-    they are taken, b first, so each side is let go once it is done.  The
-    buffers of ``workspace`` serve as :func:`kcit` describes; without one,
-    every side must be a factor, and its invariants allocate their own.
+    ``dense`` says of each side whether it is a dense n x n A or an n x m
+    factor e with A = e e', of any m.  With ``permutations > 0`` p is
+    :func:`~citkit.permnull.sampled_null_p`'s, drawn from ``seed``, with a
+    permuted.  Otherwise it is :func:`~citkit.permnull.analytic_null_p`'s
+    on each side's invariants, or on those ``memo``, a :class:`_MemoKeys`,
+    holds; ``sides`` is emptied as they are taken, b first, so each side is
+    let go once it is done.  The buffers of ``workspace`` serve as
+    :func:`kcit` describes; without one, every side must be a factor, and
+    its invariants allocate their own.
     """
-    out = workspace.take(n, 0) if all(_is_dense(side) for side in sides) else None
-    stat = _trace_product(*sides, out)
+    dense_a, dense_b = dense
+    out = workspace.take(n, 0) if dense_a and dense_b else None
+    stat = _trace_product(*sides, dense, out)
     if permutations > 0:
         a, b = sides
         return stat, *sampled_null_p(
-            stat, lambda perm: _trace_product(_permuted(a, perm), b, out), n, permutations, seed)
+            stat, lambda perm: _trace_product(_permuted(a, dense_a, perm), b, dense, out),
+            n, permutations, seed)
 
-    def invariants(side, key):
+    def invariants(side, is_dense, key):
         def compute():
-            if _is_dense(side):
+            if is_dense:
                 return dense_invariants(side, _scratch=[workspace.take(n, i) for i in (0, 3, 4)])
             scratch = None if workspace is None else workspace.take(n, 0).reshape(-1)
             return feature_invariants(side, _scratch=scratch)
         return compute() if memo is None else memo.memo.invariants(key, compute)
-    inv_b = invariants(sides.pop(), memo and memo.y)
-    inv_a = invariants(sides.pop(), memo and memo.x)
+    inv_b = invariants(sides.pop(), dense_b, memo and memo.y)
+    inv_a = invariants(sides.pop(), dense_a, memo and memo.x)
     return stat, *analytic_null_p(stat, inv_a, inv_b, n)
 
 
@@ -728,18 +728,20 @@ def kcit(data, spec=None, *, _workspace=None, _memo=None):
     if n > 5000:
         raise ConfigError(f"kcit is cubic in n; refusing n={n} > 5000 (use an ensemble)")
     workspace = _workspace or _Workspace()
-    sides = _kcit_sides(_standardize(data.x, "x"), _standardize(data.y, "y"),
-                        _standardize(data.z, "z") if dz else None, spec.ridge * n, workspace,
-                        _memo)
-    stat, p, flags = _trace_test(sides, n, spec.permutations, spec.seed, workspace, _memo)
+    sides, dense = _kcit_sides(_standardize(data.x, "x"), _standardize(data.y, "y"),
+                               _standardize(data.z, "z") if dz else None, spec.ridge * n,
+                               workspace, _memo)
+    stat, p, flags = _trace_test(sides, dense, n, spec.permutations, spec.seed, workspace,
+                                 _memo)
     return TestOutcome(p=p, statistic=stat, method="kcit", n_used=n,
                        elapsed=time.perf_counter() - t0, flags=flags)
 
 
 def _kcit_sides(x, y, z, eps, workspace, memo=None):
-    """kcit's two sides, for (x, z) and y: each a factor Rz L or a dense Rz K Rz.
+    """kcit's two sides, for (x, z) and y, and whether each is dense.
 
-    ``z`` is None for d_z = 0, where Rz = I.  Otherwise Rz = I - U U' with
+    Each side is a factor Rz L or a dense Rz K Rz.  ``z`` is None for
+    d_z = 0, where Rz = I.  Otherwise Rz = I - U U' with
     U' from :func:`_z_factor`: a factored side becomes L - U (U' L), and a
     dense one goes through :func:`_woodbury_regress`.  (x, z), whose rank is
     at least z's, is built dense without a try when z's rank passes the x
@@ -766,9 +768,10 @@ def _kcit_sides(x, y, z, eps, workspace, memo=None):
             ut = memo.memo.z_factor(memo.z, z, eps, workspace)
         blocks = ((np.hstack([x, z]), ut.shape[0] <= cap), (y, True))
 
-    sides = []
+    sides, dense = [], []
     for i, (block, tried) in enumerate(blocks):
         L, sigma = factor(block) if tried else (None, None)
+        dense.append(L is None)
         if L is None:
             tmp = workspace.take(n, 3)
             K = _gaussian_gram(block, out=workspace.take(n, 1 + i), scratch=tmp, sigma=sigma)
@@ -777,7 +780,7 @@ def _kcit_sides(x, y, z, eps, workspace, memo=None):
         else:
             sides.append(L if ut is None else _regress_factor(L, ut))
         del L  # free the raw factor before the next block's is built
-    return sides
+    return sides, dense
 
 
 def _z_factor(z, eps, workspace):
@@ -901,7 +904,7 @@ def rcit(data, spec=None):
         ut = _ridge_factor(_rff(z, spec.num_features_z, rng, by_row=True), spec.ridge * n)
         sides = [_regress_factor(side, ut) for side in sides]
         del ut
-    stat, p, flags = _trace_test(sides, n, spec.permutations, spec.seed + 1)
+    stat, p, flags = _trace_test(sides, (False, False), n, spec.permutations, spec.seed + 1)
     return TestOutcome(p=p, statistic=stat / n, method="rcit", n_used=n,
                        elapsed=time.perf_counter() - t0, flags=flags)
 

@@ -10,6 +10,7 @@ every rate below is a frozen, reproducible number.
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from scipy import stats
 from scipy.linalg import cho_factor, cho_solve, lapack, solve_triangular
 from scipy.spatial.distance import pdist, squareform
 
-from citkit import cit
+from citkit import cit, ensemble
 from citkit.cit import (
     CITestSpec,
     _center,
@@ -35,6 +36,7 @@ from citkit.cit import (
 )
 from citkit.cit import TestOutcome as CitOutcome
 from citkit.datagen import PnlConfig, gen_pnl, gen_random_dag, simulate_scm
+from citkit.ensemble import EnsembleConfig, ecit, partition
 from citkit.errors import ConfigError, DataError, NumericalError
 from citkit.permnull import (analytic_null_p, dense_invariants, feature_invariants,
                              sampled_null_p)
@@ -425,19 +427,18 @@ class TestFactorPath:
         n = data.n
         x, y, z = (_standardize(block, "block") for block in (data.x, data.y, data.z))
         eps = 1e-3 * n
-        sides = cit._kcit_sides(x, y, z, eps, _Workspace())
+        sides, dense = cit._kcit_sides(x, y, z, eps, _Workspace())
         Rz = _center(_gaussian_gram(z))
         Rz.flat[::n + 1] += eps
         Rz = np.linalg.inv(Rz) * eps
-        dense = 0
-        for side, block in zip(sides, (np.hstack([x, z]), y)):
-            if side.shape[1] < n:
+        for side, is_dense, block in zip(sides, dense, (np.hstack([x, z]), y)):
+            assert is_dense == (side.shape[1] == n)
+            if not is_dense:
                 continue
-            dense += 1
             assert np.array_equal(side, side.T)
             K = _center(_gaussian_gram(block))
             assert np.abs(side - Rz @ K @ Rz).max() <= 1e-12 * n
-        assert dense
+        assert any(dense)
 
     @pytest.mark.parametrize("data", [_scm_triple(200, 1, seed=7), _scm_triple(200, 3, seed=7),
                                       _pnl_triple(400, 2, "H1", 37)],
@@ -747,9 +748,10 @@ class TestRcitAgainstReference:
                                  seed=_rep_seed(60, n, d_z, hypothesis == "H1")))
         return data if d_z else DataTriple(data.x, data.y, None)
 
+    # n = 100 is as many rows as rcit's default features: both sides are square
     @pytest.mark.parametrize("hypothesis", ["H0", "H1"])
     @pytest.mark.parametrize("d_z", [0, 1, 2, 3])
-    @pytest.mark.parametrize("n", [150, 400, 2000])
+    @pytest.mark.parametrize("n", [100, 150, 400, 2000])
     def test_matches_the_cholesky_solve_reference(self, n, d_z, hypothesis):
         data = self._data(n, d_z, hypothesis)
         spec = CITestSpec(method="rcit", seed=n + d_z)
@@ -760,14 +762,27 @@ class TestRcitAgainstReference:
         assert out.flags == flags
 
     @pytest.mark.parametrize("d_z", [0, 1, 2, 3])
-    def test_sampled_null_matches_the_reference(self, d_z):
-        data = self._data(150, d_z, "H0")
+    @pytest.mark.parametrize("n", [100, 150])
+    def test_sampled_null_matches_the_reference(self, n, d_z):
+        data = self._data(n, d_z, "H0")
         spec = CITestSpec(method="rcit", seed=7 + d_z, permutations=60)
         out = rcit(data, spec)
         p, stat, flags = _reference_rcit(data, spec)
         assert out.p == p
         assert abs(out.statistic - stat) <= 1e-12 * stat
         assert out.flags == flags == ("permutation_null",)
+
+    @pytest.mark.parametrize("d_z", [0, 2])
+    def test_ensemble_of_100_row_subsets_matches_the_reference(self, d_z):
+        # every subset has as many rows as rcit's default features
+        data = self._data(400, d_z, "H1")
+        base, config = CITestSpec(method="rcit"), EnsembleConfig(n_k=100, seed=3)
+        out = ecit(data, base, config)
+        subsets = partition(data, config)
+        assert [s.n for s in subsets] == [100] * 4
+        for k, (subset, p) in enumerate(zip(subsets, out.subtest_ps)):
+            ref, _, _ = _reference_rcit(subset, replace(base, seed=ensemble._subset_seed(3, k)))
+            assert abs(p - ref) <= 1e-12
 
     def test_feature_invariants_is_called_through_the_cit_module(self, monkeypatch):
         # a tracer wraps cit.feature_invariants; both rcit sides must reach it there
