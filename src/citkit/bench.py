@@ -303,7 +303,7 @@ def _alpha_variants(config: ExperimentConfig, ms: MethodSpec):
 
 def _combiner_variants(config: ExperimentConfig, ms: MethodSpec):
     classical = [(name, lambda clamped, name=name: combine_classical(name, clamped).p_combined)
-                 for name in CLASSICAL_METHODS if name != "liptak"]
+                 for name in CLASSICAL_METHODS]
     return [("ours", _stable_pool(ms.ensemble.alpha))] + classical
 
 

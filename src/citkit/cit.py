@@ -76,34 +76,36 @@ _MEDIAN_ROWS = 1000
 _ROW_BLOCK = 64
 _STRICT_LOWER = np.tri(_ROW_BLOCK, k=-1, dtype=bool)
 
-# kcit factors each block's centred Gram until the trace of the residual
-# falls to _FACTOR_TOL * n.
+# kcit factors each block's centred Gram by LAPACK dpstrf on its dense Gram
+# (_pivoted_cholesky), with the GIL released, until the trace of the
+# residual falls to _FACTOR_TOL * n.
 #
-# z is factored at every n and every rank, by LAPACK dpstrf on its dense Gram
-# (_z_factor), and Rz is applied through that factor alone.  Where z's rank
-# passes about 0.67 n, inverting Kz + eps I dense would be cheaper than the
-# Woodbury update (on one core, kcit at n = 400 with six columns of z, rank
-# n, takes 28 ms against 22 ms that way), but no benchmark workload reaches
-# such a rank: its z ranks are 13-114 at n = 200 and about 13 and 157-159 at
-# n = 400.
+# z is factored at every n and every rank (_z_factor), and Rz is applied
+# through that factor alone.  Where z's rank passes about 0.67 n, inverting
+# Kz + eps I dense would be cheaper than the Woodbury update (on one core,
+# kcit at n = 400 with six columns of z, rank n, takes 28 ms against 22 ms
+# that way), but no benchmark workload reaches such a rank: its z ranks are
+# 13-114 at n = 200 and about 13 and 157-159 at n = 400.
 #
-# The x and y blocks keep the greedy factor (_gram_factor): a block gives it
-# up for the dense Gram once the rank passes _RANK_CAP_SHARE * n, and below
-# _FACTOR_MIN_ROWS rows it is not tried.  Both were set by measurement with
-# a greedy z factor, on PNL subsets with two subtest threads of one BLAS
-# thread each, as ecit runs them.  Against the dense path the factor path
-# ran 2.6x, 1.6x and 1.15x as many subtests per second at n = 400 with 1, 2
-# and 3 columns of z, and 1.9x, 1.15x and 1.06x at n = 300; at n = 250 it
-# lost up to 13 % with 2 or 3 columns, and at n = 200 on PC subsets 20-55 %
-# with 0-3.  There the dense n^3 work is cheap, and what the greedy factor
-# adds holds the GIL: a median pdist per block and a Python step per factor
-# column.  Memory set the floor at 350 rows while feature_invariants
-# allocated its 64-row blocks on every call: a warm call then passed one
-# n x n array at n = 300 with 1 column of z (725 against 720 KB).  Memory
-# also set the cap: at n / 4 the 3-column blocks at n = 400 (rank 125-150)
-# go dense.  A cap of 0.4 n let the (x, z) block of d_z = 2 factor and ran
-# those subtests 1.4x faster, but a warm call then allocated up to 1.8 MB
-# against 1.28 MB for one n x n array; d_z = 3 gained nothing from it.
+# The x and y blocks are factored the same way (_side_factor) from
+# _FACTOR_MIN_ROWS rows up, and keep the factor while its rank stays at most
+# _RANK_CAP_SHARE * n.  dpstrf cannot stop at a rank, so the cap chooses
+# after it: a block past the cap has built its Gram and run dpstrf for
+# nothing, and builds its Gram again for the dense path.  (x, z), whose rank
+# is at least z's, is not tried once z's rank passes the cap.  Measured on a
+# shared 2-vCPU Xeon with two subtest threads of one BLAS thread each, as
+# ecit runs them, the ecit_kcit benchmark (n = 400, d_z 1 and 3) ran 10.20
+# queries/s this way against 10.14 with the greedy Python-loop factor it
+# replaced (medians of 10 pairs); its x and y blocks have ranks 9-93 against
+# a cap of 100, so none is built twice.  On one core a factored call costs
+# more, for it pays for the full Gram: 6.0 -> 7.1 ms at n = 400 with
+# d_z = 1, 15.5 -> 16.4 ms with d_z = 3, and 24 -> 34 ms at n = 1000 with
+# d_z = 1.  The floor stays because below it dpstrf sides won nothing clear:
+# at n = 200 on two threads they ran 327 and 273 calls/s against 357 and 280
+# dense, in two noisy rounds, and the pc_kcit benchmark (n_k = 200) keeps its
+# dense x and y.  The cap of n / 4 was set for memory with the greedy factor;
+# it sends the (x, z) blocks of d_z = 3 at n = 400 (z rank about 157) dense,
+# and those run faster dense, 14.6 against 24.5 ms factored.
 _FACTOR_TOL = 1e-12
 _RANK_CAP_SHARE = 0.25
 _FACTOR_MIN_ROWS = 350
@@ -382,16 +384,16 @@ def _pivoted_cholesky(a, tol):
     return rank.value, piv
 
 
-def _gaussian_gram(block, out=None, scratch=None, sigma=None):
+def _gaussian_gram(block, out=None, scratch=None):
     """Gaussian Gram matrix of the rows of ``block``, from one ``pdist`` pass.
 
     The matrix is written into ``out``, a C-contiguous n x n float64 array,
     and the condensed squared distances into the first n (n - 1) / 2 entries
     of ``scratch``, a C-contiguous float64 array; the old contents of both
-    are ignored, and either one missing is allocated.  Without a ``sigma``,
-    up to 1000 rows the bandwidth is selected from a copy of those
-    distances, held in ``out`` until the matrix overwrites it; beyond that
-    it comes from the thinned rows of :func:`median_heuristic`.  The kernel is evaluated on the
+    are ignored, and either one missing is allocated.  Up to 1000 rows the
+    bandwidth is selected from a copy of those distances, held in ``out``
+    until the matrix overwrites it; beyond that it comes from the thinned
+    rows of :func:`median_heuristic`.  The kernel is evaluated on the
     condensed vector, half the entries of the matrix, and scattered into
     ``out`` by the routine ``squareform`` runs after its ``np.zeros``; the
     diagonal is exp(-0.0) = 1.0.
@@ -400,11 +402,11 @@ def _gaussian_gram(block, out=None, scratch=None, sigma=None):
     m = n * (n - 1) // 2
     K = np.empty((n, n)) if out is None else out
     sq = pdist(block, "sqeuclidean", out=None if scratch is None else scratch.reshape(-1)[:m])
-    if sigma is None and n <= _MEDIAN_ROWS:
+    if n <= _MEDIAN_ROWS:
         copy = K.reshape(-1)[:m]
         copy[:] = sq
         sigma = _KCIT_BANDWIDTH_SCALE * _median_distance(copy)
-    elif sigma is None:
+    else:
         sigma = _KCIT_BANDWIDTH_SCALE * median_heuristic(block)
     np.negative(sq, out=sq)
     sq /= 2.0 * sigma * sigma
@@ -562,49 +564,6 @@ def fisher_z(data):
                        elapsed=time.perf_counter() - t0)
 
 
-def _gram_factor(block, sigma, cap):
-    """Centred pivoted-Cholesky factor of the Gaussian Gram of ``block``, or None.
-
-    Returns an n x r array F whose F F' is within ``_FACTOR_TOL * n`` in trace
-    of the centred Gram H K H for bandwidth ``sigma``, or None once r would
-    pass ``cap``.  K is factored with greedy diagonal pivoting (Bach & Jordan
-    2002) and the columns are centred afterwards: H (K - L L') H is positive
-    semidefinite with a trace no larger than that of K - L L', which the loop
-    drives below the tolerance.  Kernel column j is built on demand by one
-    BLAS product, scale * (|a_i|^2 + |a_j|^2 - 2 a_i . a_j) for every i, and
-    ``exp``.
-    """
-    n, d = block.shape
-    scale = -0.5 / (sigma * sigma)
-    sq = np.einsum("ij,ij->i", block, block)
-    aug = np.empty((n, d + 2))                # rows (a_i, |a_i|^2, 1)
-    aug[:, :d] = block
-    aug[:, d] = sq
-    aug[:, d + 1] = 1.0
-    coef = np.empty((n, d + 2))               # rows scale * (-2 a_j, 1, |a_j|^2)
-    np.multiply(block, -2.0 * scale, out=coef[:, :d])
-    coef[:, d] = scale
-    np.multiply(sq, scale, out=coef[:, d + 1])
-    rows = np.empty((cap, n))                 # row k is column k of L
-    resid = np.ones(n)                        # diagonal of K - L L'; K_ii = 1
-    tmp = np.empty(n)
-    tol = _FACTOR_TOL * n
-    for k in range(cap):
-        j = int(resid.argmax())
-        col = rows[k]
-        np.matmul(aug, coef[j], out=col)
-        np.minimum(col, 0.0, out=col)
-        np.exp(col, out=col)
-        if k:
-            col -= np.matmul(rows[:k, j], rows[:k], out=tmp)
-        col *= 1.0 / math.sqrt(resid[j])
-        resid -= np.square(col, out=tmp)
-        if resid.sum() <= tol:
-            L = rows[:k + 1].T
-            return np.subtract(L, L.mean(axis=0), order="C")
-    return None
-
-
 def _trace_product(a, b, dense, out):
     """tr(A B) for two sides, each a dense matrix A or a factor e with A = e e'.
 
@@ -671,12 +630,12 @@ def kcit(data, spec=None, *, _workspace=None, _memo=None):
     z comes first, at every n: its Gram is built dense and factored in place
     by LAPACK ``dpstrf`` to whatever rank r_z it has, up to n, and
     Rz = I - U U' by Woodbury, with the n x r_z factor U from
-    :func:`_z_factor`.  The (x, z) and y blocks are then factored by greedy
-    pivoted Cholesky (:func:`_gram_factor`) from 350 rows up while their
-    rank stays at most n / 4, and otherwise built dense; (x, z), whose rank
-    is at least z's, is built dense without a try when r_z passes n / 4.
-    ``_RANK_CAP_SHARE`` and ``_FACTOR_MIN_ROWS`` record the measurements
-    behind these rules.  A factored side becomes e = Rz L = L - U (U' L),
+    :func:`_z_factor`.  From 350 rows up the (x, z) and y blocks are then
+    factored the same way, by :func:`_side_factor`, and keep the factor
+    while its rank stays at most n / 4; a block past that builds its Gram
+    again, dense.  (x, z), whose rank is at least z's, is built dense
+    without a try when r_z passes n / 4.  ``_RANK_CAP_SHARE`` and
+    ``_FACTOR_MIN_ROWS`` record the measurements behind these rules.  A factored side becomes e = Rz L = L - U (U' L),
     with A = e e'; a dense side becomes the n x n matrix A, by the symmetric
     update of :func:`_woodbury_regress`, and is exactly symmetric.  The
     statistic is |ex' ey|^2_F for two factors, e' A e for one, and
@@ -690,20 +649,21 @@ def kcit(data, spec=None, *, _workspace=None, _memo=None):
     Memory: the n x n buffers of ``_workspace`` (a :class:`_Workspace`, or a
     fresh one) are taken as a call first needs them, and every call takes
     buffer 0.  Buffer 0 holds z's Gram, then its factor U' in the first r_z
-    rows; buffers 1 and 2 the dense sides A and B; buffer 3 each dense
-    Gram's condensed distances, then the 64-row sums of its centring, then
-    the update's r_z x n product C; buffer 4 its r_z x r_z product C U,
-    and L L' of :func:`_z_factor` before it where r_z passes 0.618 n.
-    Once the sides are built, buffer 0 holds ex G and the two 64-row blocks
-    of the feature invariants, and the statistic's A * B; the dense
-    invariants' M @ M, M * M and product buffer go into buffers 0, 3 and 4.
-    A call with z and every side factored (r_z at most n / 4, n >= 350)
-    holds buffer 0 alone.  Allocated afresh are z's condensed distances,
-    freed before its factor, and for the greedy factors an n x n / 4 buffer
-    while one grows, the distances of its median bandwidth and the n x r
-    sides.  At the benchmark's ranks a warm call stays below one n x n
-    array of fresh memory, so a thread that reuses one workspace faults no
-    n x n array in.  The sampled permutation null allocates more.
+    rows; buffers 1 and 2 the dense sides A and B; buffer 3 the condensed
+    distances of each x or y Gram, then a dense Gram's 64-row sums of its
+    centring, then the update's r_z x n product C; buffer 4 each x or y
+    Gram that is tried as a factor, with the factor in its first rows, then
+    the update's r_z x r_z product C U, and L L' of :func:`_z_factor`
+    before it where r_z passes 0.618 n.  Once the sides are built, buffer 0
+    holds ex G and the two 64-row blocks of the feature invariants, and the
+    statistic's A * B; the dense invariants' M @ M, M * M and product buffer
+    go into buffers 0, 3 and 4.  A call with z and every side factored (r_z
+    at most n / 4, n >= 350) holds buffers 0, 3 and 4.  Allocated afresh
+    are z's condensed distances, freed before its factor, each
+    factorization's pivots, and the n x r sides, copied out of buffer 4.
+    At the benchmark's ranks a warm call stays below one n x n array of
+    fresh memory, so a thread that reuses one workspace faults no n x n
+    array in.  The sampled permutation null allocates more.
 
     Memo: ``_memo``, the :class:`_MemoKeys` of a :class:`_Memo`, lets calls
     on subsets of one data matrix share work.  A z factor found there is
@@ -714,13 +674,11 @@ def kcit(data, spec=None, *, _workspace=None, _memo=None):
 
     Threads: ``dpstrf`` and ``dpotrf`` (LAPACK), the ``dtrsm`` that makes
     U, the Woodbury update's ``dgemm`` and ``dsyr2k``, the other products
-    and each kernel column of a greedy factor (BLAS), and numpy's n x n
-    elementwise work run with the GIL released, so subtests on several
-    threads overlap them.  What holds it is the ``pdist`` behind each
-    block's median bandwidth, the ``squareform`` scatter of each dense Gram,
-    the Python step between two greedy factor columns, the cumulant tables
-    and the null tail.  A workspace must not be shared by two threads at
-    once.
+    (BLAS), and numpy's n x n elementwise work run with the GIL released,
+    so subtests on several threads overlap them.  What holds it is the
+    ``pdist`` and the ``squareform`` scatter of each Gram, the cumulant
+    tables and the null tail; no factor takes a Python step per column.  A
+    workspace must not be shared by two threads at once.
     """
     t0 = time.perf_counter()
     spec = spec or CITestSpec(method="kcit")
@@ -740,46 +698,35 @@ def kcit(data, spec=None, *, _workspace=None, _memo=None):
 def _kcit_sides(x, y, z, eps, workspace, memo=None):
     """kcit's two sides, for (x, z) and y, and whether each is dense.
 
-    Each side is a factor Rz L or a dense Rz K Rz.  ``z`` is None for
-    d_z = 0, where Rz = I.  Otherwise Rz = I - U U' with
-    U' from :func:`_z_factor`: a factored side becomes L - U (U' L), and a
-    dense one goes through :func:`_woodbury_regress`.  (x, z), whose rank is
-    at least z's, is built dense without a try when z's rank passes the x
-    and y cap.  The buffers of ``workspace`` are used as :func:`kcit`
-    describes, and z's factor comes from ``memo``, a :class:`_MemoKeys`,
-    when it is given.
+    Each side is a factor Rz L from :func:`_side_factor` or a dense
+    Rz K Rz.  ``z`` is None for d_z = 0, where Rz = I.  Otherwise
+    Rz = I - U U' with U' from :func:`_z_factor`: a factored side becomes
+    L - U (U' L), and a dense one goes through :func:`_woodbury_regress`.
+    (x, z), whose rank is at least z's, is built dense without a try when
+    z's rank passes the x and y cap.  The buffers of ``workspace`` are used
+    as :func:`kcit` describes, and z's factor comes from ``memo``, a
+    :class:`_MemoKeys`, when it is given.
     """
     n = x.shape[0]
     cap = int(_RANK_CAP_SHARE * n) if n >= _FACTOR_MIN_ROWS else 0
-
-    def factor(block):
-        """(factor or None, the bandwidth it used or None)."""
-        if not cap:
-            return None, None
-        sigma = _KCIT_BANDWIDTH_SCALE * median_heuristic(block)
-        return _gram_factor(block, sigma, cap), sigma
-
-    ut = None
-    blocks = ((x, True), (y, True))
+    ut, xz, try_xz = None, x, True
     if z is not None:
         if memo is None:
             ut = _z_factor(z, eps, workspace)
         else:
             ut = memo.memo.z_factor(memo.z, z, eps, workspace)
-        blocks = ((np.hstack([x, z]), ut.shape[0] <= cap), (y, True))
+        xz, try_xz = np.hstack([x, z]), ut.shape[0] <= cap
 
     sides, dense = [], []
-    for i, (block, tried) in enumerate(blocks):
-        L, sigma = factor(block) if tried else (None, None)
+    for i, (block, tried) in enumerate(((xz, try_xz), (y, True))):
+        L = _side_factor(block, cap, workspace) if tried and cap else None
         dense.append(L is None)
         if L is None:
             tmp = workspace.take(n, 3)
-            K = _gaussian_gram(block, out=workspace.take(n, 1 + i), scratch=tmp, sigma=sigma)
-            K = _center(K, tmp)
+            K = _center(_gaussian_gram(block, out=workspace.take(n, 1 + i), scratch=tmp), tmp)
             sides.append(K if ut is None else _woodbury_regress(K, ut, workspace))
         else:
             sides.append(L if ut is None else _regress_factor(L, ut))
-        del L  # free the raw factor before the next block's is built
     return sides, dense
 
 
@@ -787,26 +734,56 @@ def _z_factor(z, eps, workspace):
     """U' for Rz = eps (Kz + eps I)^-1 = I - U U', as an r x n view into buffer 0.
 
     z's Gaussian Gram is built dense in buffer 0 and factored there by
-    :func:`_pivoted_cholesky` to a residual trace of at most
-    ``_FACTOR_TOL * n``, the bound :func:`_gram_factor` meets; as there, the
-    columns are centred afterwards, so Lz Lz' is within that trace of the
-    centred Gram.  The rank r is whatever ``dpstrf`` returns, up to n.  Lz'
-    takes the first r rows of the buffer, its columns put back in the row
-    order of z, and :func:`_ridge_factor` turns it into U' in place.  L L'
-    of that function and the rows through which the columns are
-    reordered take the entries after Lz' while r (n + r) <= n^2, that is
-    up to r = 0.618 n, and buffer 4 past that, which the update of the
-    dense (x, z) side takes next in any case.
+    :func:`_pivoted_cholesky`; the rank r is whatever ``dpstrf`` returns, up
+    to n.  :func:`_centred_factor` makes Lz' of the first r rows of the
+    buffer, and :func:`_ridge_factor` turns it into U' in place.  L L' of
+    that function and the rows through which the columns are reordered take
+    the entries after Lz' while r (n + r) <= n^2, that is up to r = 0.618 n,
+    and buffer 4 past that, which the update of the dense (x, z) side takes
+    next in any case.
     """
     n = z.shape[0]
     flat = workspace.take(n, 0).reshape(-1)
     r, piv = _pivoted_cholesky(_gaussian_gram(z, out=flat.reshape(n, n)), _FACTOR_TOL)
+    rest = flat[r * n:] if r * (n + r) <= n * n else workspace.take(n, 4).reshape(-1)
+    return _ridge_factor(_centred_factor(flat, r, piv, rest), eps, rest)
+
+
+def _side_factor(block, cap, workspace):
+    """The n x r factor L of the centred Gaussian Gram of ``block``, or None if r > ``cap``.
+
+    The Gram is built in buffer 4, from distances in buffer 3, and factored
+    there by :func:`_pivoted_cholesky`.  Within the cap,
+    :func:`_centred_factor` makes L' of the first r rows, and L is copied
+    out of the buffer, which the next block's Gram takes.
+    """
+    n = block.shape[0]
+    flat = workspace.take(n, 4).reshape(-1)
+    r, piv = _pivoted_cholesky(_gaussian_gram(block, out=flat.reshape(n, n),
+                                              scratch=workspace.take(n, 3)), _FACTOR_TOL)
+    if r > cap:
+        return None
+    return _centred_factor(flat, r, piv, flat[r * n:]).T.copy()
+
+
+def _centred_factor(flat, r, piv, rest):
+    """L' of a Gram that :func:`_pivoted_cholesky` factored in ``flat``, as an r x n view.
+
+    ``flat`` is the factored n x n array, raveled, and ``piv`` its pivots.
+    L' takes the first r rows: the Gram left over left of their diagonal is
+    cleared, the columns are put back in the original row order, through
+    rows of ``rest``, a C-contiguous float64 vector of at least n entries
+    outside L', and the columns of L are centred.  L L' is then within
+    ``_FACTOR_TOL * n`` in trace of the centred Gram H K H, because
+    H (K - L L') H is positive semidefinite with a trace no larger than that
+    of K - L L'.
+    """
+    n = piv.size
     lt = flat[:r * n].reshape(r, n)
     for lo in range(0, r, _ROW_BLOCK):  # clear the Gram left of the factor's diagonal
         hi = min(lo + _ROW_BLOCK, r)
         lt[lo:hi, :lo] = 0.0
         np.copyto(lt[lo:hi, lo:hi], 0.0, where=_STRICT_LOWER[:hi - lo, :hi - lo])
-    rest = flat[r * n:] if r * (n + r) <= n * n else workspace.take(n, 4).reshape(-1)
     step = rest.size // n
     order = np.empty_like(piv)
     order[piv] = np.arange(n, dtype=piv.dtype)
@@ -815,7 +792,7 @@ def _z_factor(z, eps, workspace):
         rows = rest[:(hi - lo) * n].reshape(hi - lo, n)
         lt[lo:hi] = np.take(lt[lo:hi], order, axis=1, out=rows, mode="clip")
     lt -= lt.mean(axis=1, keepdims=True)
-    return _ridge_factor(lt, eps, rest)
+    return lt
 
 
 def _ridge_factor(lt, eps, scratch=None):

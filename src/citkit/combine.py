@@ -6,9 +6,10 @@ Two families live here:
   alpha-stable law, average, and read the combined p-value off the CDF of the
   averaged law (closed under averaging, so the null is exact for any K).
 * ``combine_classical`` — the usual meta-analysis combiners (Tippett,
-  Edgington, Fisher, Pearson, Mudholkar-George, Stouffer, Liptak), each with
-  its exact null distribution, except the Student-t approximation of
-  Mudholkar-George and the normal one of Edgington above K = 30.
+  Edgington, Fisher, Pearson, Mudholkar-George, Stouffer), each with its
+  exact null distribution, except the Student-t approximation of
+  Mudholkar-George and the normal one of Edgington above K = 30.  Liptak's
+  inverse-normal method is Stouffer's by algebra and is not kept twice.
 
 All combiners are normalized so that *small* combined p-values are evidence
 against the null, regardless of the natural direction of the underlying
@@ -40,7 +41,6 @@ CLASSICAL_METHODS = (
     "pearson",
     "mudholkar",
     "stouffer",
-    "liptak",
 )
 
 # The exact Irwin-Hall sum is rational arithmetic on K-th powers, and its cost
@@ -151,12 +151,9 @@ def combine_classical(method, pvals):
         df = 5 * k + 4
         scale = np.sqrt(3.0 * df / (k * np.pi ** 2 * (5 * k + 2)))
         p_comb = float(stdtr(df, scale * statistic))
-    elif name == "stouffer":
+    else:  # stouffer
         statistic = float(np.sum(ndtri(p)))
         p_comb = float(ndtr(statistic / np.sqrt(k)))
-    else:  # liptak: the 1-p mirror of stouffer, rejecting for large statistic
-        statistic = float(np.sum(ndtri(1.0 - p)))
-        p_comb = float(1.0 - ndtr(statistic / np.sqrt(k)))
 
     return CombinedResult(statistic=statistic, p_combined=min(max(float(p_comb), 0.0), 1.0),
                           method=name, K=k)

@@ -148,11 +148,13 @@ def gen_pnl(config):
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """A DAG over variables 0..d-1 whose edges all point forward in that order."""
+    """A DAG over variables 0..d-1 whose edges all point forward in that order.
+
+    The edges must include the backbone chain 0 -> 1 -> ... -> d-1.
+    """
 
     d: int
     edges: frozenset
-    backbone: tuple
 
     def __post_init__(self):
         if self.d < 1:
@@ -161,15 +163,11 @@ class GraphSpec:
         for i, j in edges:
             if not (0 <= i < j < self.d):
                 raise ConfigError(f"edge ({i}, {j}) is not a forward pair within 0..{self.d - 1}")
-        backbone = tuple(range(self.d))
         chain = {(i, i + 1) for i in range(self.d - 1)}
-        if self.backbone and tuple(self.backbone) != backbone:
-            raise ConfigError("backbone must be the identity order 0..d-1")
-        if not chain <= edges and self.d > 1:
+        if not chain <= edges:
             missing = sorted(chain - edges)
             raise ConfigError(f"backbone edges missing from edge set: {missing}")
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "backbone", backbone)
 
     def parents(self, j):
         return sorted(i for i, k in self.edges if k == j)
@@ -202,7 +200,7 @@ def gen_random_dag(d, p_edge, seed):
         for j in range(i + 2, d):
             if rng.uniform() < p_edge:
                 edges.add((i, j))
-    return GraphSpec(d=d, edges=frozenset(edges), backbone=tuple(range(d)))
+    return GraphSpec(d=d, edges=frozenset(edges))
 
 
 @dataclass(frozen=True)

@@ -164,9 +164,10 @@ def make_cit_tester(data, spec: CITestSpec, config=None):
     tester hands one kcit workspace to every query: up to five n x n float64
     buffers, each taken on the first query that needs it and kept as long
     as the tester, so a warm query allocates no n x n array.  Every query
-    takes one; queries with dense sides take more, up to five when both
-    sides are dense.  z lives in those buffers as its n x r_z factor U;
-    factored x and y sides are n x r arrays allocated per query.
+    takes one; a query whose x and y sides all factor takes three, and one
+    with dense sides up to five.  z lives in those buffers as its n x r_z
+    factor U, and each x and y Gram is factored in them too; the factored
+    sides are n x r arrays allocated per query.
     The ensemble keeps its own per-thread workspaces.
 
     A kcit tester keeps a memo (:class:`citkit.cit._Memo`) as long as it

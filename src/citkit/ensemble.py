@@ -238,18 +238,17 @@ def ecit(data: DataTriple, base: CITestSpec, config: EnsembleConfig, *,
     threads.  To run on one core, pin the affinity mask to one core or leave
     BLAS unpinned.  The threads overlap only where the base test releases
     the GIL; see :func:`citkit.cit.kcit` for which of its steps do.  A
-    kcit subtest factors z's Gram in LAPACK (``dpstrf``) at every rank,
-    makes the factor U of its regression on z by ``dpotrf`` and ``dtrsm``
-    and applies it by BLAS, with the GIL released, and builds each kernel
-    column of a greedy x or y factor by BLAS too, while the median
-    ``pdist`` of each block and the Python step between two greedy factor
-    columns hold it.  Each thread reuses one kcit workspace, up to five
-    n_k x n_k float64 buffers taken as its subtests first need them, for
-    every subset it draws, and drops it when this call returns: one buffer
-    when every side factors (from n_k = 350 up, where a block's rank stays
-    at most n_k / 4), and more for dense sides.  The combination runs on
-    the calling thread once every subtest is done, and holds the GIL: a
-    fraction of a millisecond for K up to about 10.
+    kcit subtest factors z's Gram, and from n_k = 350 up each x and y Gram,
+    in LAPACK (``dpstrf``), makes the factor U of its regression on z by
+    ``dpotrf`` and ``dtrsm`` and applies it by BLAS, with the GIL released,
+    while the ``pdist`` and ``squareform`` of each Gram hold it.  Each
+    thread reuses one kcit workspace, up to five n_k x n_k float64 buffers
+    taken as its subtests first need them, for every subset it draws, and
+    drops it when this call returns: three buffers when every side factors
+    (from n_k = 350 up, where a block's rank stays at most n_k / 4), and
+    more for dense sides.  The combination runs on the calling thread once
+    every subtest is done, and holds the GIL: a fraction of a millisecond
+    for K up to about 10.
 
     ``_memo``, when given, maps a subset index k to the memo keys handed to
     subtest k's :func:`~citkit.cit.run_cit` (see

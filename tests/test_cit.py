@@ -23,7 +23,6 @@ from citkit.cit import (
     CITestSpec,
     _center,
     _gaussian_gram,
-    _gram_factor,
     _standardize,
     _whiten,
     _Workspace,
@@ -378,6 +377,19 @@ def _scm_triple(n, d_z, seed):
     return DataTriple(values[:, :1], values[:, 1:2], values[:, 2:2 + d_z])
 
 
+def _dpstrf_ranks(monkeypatch):
+    """The rank of every :func:`cit._pivoted_cholesky` call from here on, in call order."""
+    ranks = []
+    factor = cit._pivoted_cholesky
+
+    def counted(a, tol):
+        rank, piv = factor(a, tol)
+        ranks.append(rank)
+        return rank, piv
+    monkeypatch.setattr(cit, "_pivoted_cholesky", counted)
+    return ranks
+
+
 def _assert_near_the_dense_test(data):
     p, stat, flags = dense_kcit(data)
     out = kcit(data)
@@ -457,8 +469,8 @@ class TestFactorPath:
         Lz[piv - 1] = np.tril(c)[:, :r]
         Lz -= Lz.mean(axis=0)
         residual = Kz - Lz @ Lz.T
-        # as for the greedy factor, the residual is positive semidefinite up
-        # to rounding, so its trace bounds every entry
+        # the residual is positive semidefinite up to rounding, so its trace
+        # bounds every entry
         assert rank == r
         assert -1e-12 * n <= np.trace(residual) <= 1e-12 * n
         assert np.abs(residual).max() <= 1e-12 * n
@@ -508,23 +520,34 @@ class TestFactorPath:
             tracemalloc.stop()
         assert peak < n * n * 8
 
-    @pytest.mark.parametrize("d_z, taken", [(0, {0}), (1, {0}), (3, {0, 1, 3, 4})])
+    @pytest.mark.parametrize("d_z, taken", [(0, {0, 3, 4}), (1, {0, 3, 4}), (3, {0, 1, 3, 4})])
     def test_workspace_allocates_only_the_buffers_a_call_takes(self, d_z, taken):
-        # at n = 400 every block with one or two columns factors; with three
-        # columns of z, (x, z) is dense and takes its Gram's buffer, the
-        # distance and update buffer 3 and the update's buffer 4
+        # at n = 400 every block with one or two columns factors, and its
+        # Gram and the Gram's distances sit in buffers 4 and 3 while it is
+        # factored; with three columns of z, (x, z) is dense and takes its
+        # Gram's buffer, the distance and update buffer 3 and the update's
+        # buffer 4
         workspace = _Workspace()
         kcit(_pnl_triple(400, d_z, "H1", seed=39), _workspace=workspace)
         assert {i for i, flat in enumerate(workspace._flat) if flat is not None} == taken
+
+    def test_z_and_both_blocks_are_factored_by_dpstrf(self, monkeypatch):
+        ranks = _dpstrf_ranks(monkeypatch)
+        kcit(_pnl_triple(400, 1, "H1", seed=39))
+        # z, (x, z) and y, each within the cap of n / 4
+        assert len(ranks) == 3
+        assert max(ranks) <= 100
 
     @pytest.mark.parametrize("d_z", [0, 1, 2, 3])
     def test_factor_matches_the_centred_gram_within_the_tolerance(self, d_z):
         n = 400
         data = gen_pnl(PnlConfig(hypothesis="H1", n=n, d_z=max(d_z, 1), seed=31))
         block = _standardize(data.y if not d_z else data.z[:, :d_z], "block")
-        sigma = 2.0 * median_heuristic(block)
-        L = _gram_factor(block, sigma, n)
+        K = _gaussian_gram(block)
+        r, piv = cit._pivoted_cholesky(K, 1e-12)
+        L = cit._centred_factor(K.reshape(-1), r, piv, K.reshape(-1)[r * n:]).T
         assert L.shape[1] < n
+        assert np.array_equal(cit._side_factor(block, n, _Workspace()), L)
         residual = _center(_gaussian_gram(block)) - L @ L.T
         # the residual is positive semidefinite up to rounding, so its trace
         # bounds every entry
@@ -547,7 +570,7 @@ class TestFactorPath:
 
     @pytest.mark.parametrize("columns", [(6, 6, 0), (6, 6, 6), (1, 6, 0), (6, 1, 0),
                                          (1, 1, 6)])
-    def test_blocks_past_the_cap_take_the_dense_path(self, columns):
+    def test_blocks_past_the_cap_take_the_dense_path(self, columns, monkeypatch):
         # six independent columns give a Gram of rank near n: every x or y
         # block with six gives its factor up, and with none factored and no
         # z the test is the dense one bit for bit; z's factor has rank n
@@ -558,7 +581,11 @@ class TestFactorPath:
         z = rng.standard_normal((400, dz)) if dz else None
         data = DataTriple(x, y, z)
         p, stat, flags = dense_kcit(data)
+        ranks = _dpstrf_ranks(monkeypatch)
         out = kcit(data)
+        # one dpstrf for z, whose rank n rules (x, z) out, or for x, and one
+        # for y; a block past the cap of 100 is not factored again
+        assert [rank > 100 for rank in ranks] == [6 in (dx, dz), dy == 6]
         if 1 not in columns and not dz:
             assert (out.p.hex(), out.statistic.hex(), out.flags) == (p.hex(), stat.hex(), flags)
         else:

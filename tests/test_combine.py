@@ -18,6 +18,7 @@ from citkit import (
     combine_classical,
     combine_stable,
 )
+from citkit.cli import main
 
 STD175 = StableParams(1.75, 0.0, 1.0, 0.0)
 STD2 = StableParams(2.0, 0.0, 1.0, 0.0)
@@ -182,12 +183,15 @@ class TestCombineClassical:
         assert out.statistic == pytest.approx(-2.64757331182555546, rel=1e-12)
         assert out.p_combined == pytest.approx(0.0631846503341941328, abs=1e-12)
 
-    def test_liptak_mirrors_stouffer(self):
-        pv = [0.02, 0.4, 0.9, 0.33]
-        a = combine_classical("stouffer", pv)
-        b = combine_classical("liptak", pv)
-        assert b.statistic == pytest.approx(-a.statistic, abs=1e-12)
-        assert b.p_combined == pytest.approx(a.p_combined, abs=1e-12)
+    def test_liptak_is_rejected(self):
+        # Liptak's p is Stouffer's by algebra, computed with cancellation
+        # through 1 - p; stouffer is the one kept
+        assert "liptak" not in CLASSICAL_METHODS
+        with pytest.raises(ConfigError, match="unknown combination method 'liptak'"):
+            combine_classical("liptak", [1e-12, 1e-12, 1e-12])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["combine", "--method", "liptak", "1e-12", "1e-12", "1e-12"])
+        assert exit_info.value.code == 2
 
     def test_unknown_method(self):
         with pytest.raises(ConfigError):

@@ -34,8 +34,7 @@ def partial_corr(x, y, z):
 
 
 def chain_graph(d):
-    return GraphSpec(d=d, edges=frozenset((i, i + 1) for i in range(d - 1)),
-                     backbone=tuple(range(d)))
+    return GraphSpec(d=d, edges=frozenset((i, i + 1) for i in range(d - 1)))
 
 
 class TestPnlConfig:
@@ -173,22 +172,21 @@ class TestGenRandomDag:
 class TestGraphSpec:
     def test_rejects_backward_edge(self):
         with pytest.raises(ConfigError):
-            GraphSpec(d=3, edges=frozenset({(0, 1), (1, 2), (2, 0)}), backbone=(0, 1, 2))
+            GraphSpec(d=3, edges=frozenset({(0, 1), (1, 2), (2, 0)}))
 
     def test_rejects_missing_backbone_edge(self):
         with pytest.raises(ConfigError):
-            GraphSpec(d=3, edges=frozenset({(0, 2), (1, 2)}), backbone=(0, 1, 2))
+            GraphSpec(d=3, edges=frozenset({(0, 2), (1, 2)}))
 
     def test_parents_and_ancestors(self):
-        graph = GraphSpec(d=4, edges=frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}),
-                          backbone=(0, 1, 2, 3))
+        graph = GraphSpec(d=4, edges=frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
         assert graph.parents(3) == [0, 2]
         assert graph.ancestors(3) == {0, 1, 2}
         assert graph.ancestors(1) == {0}
         assert graph.ancestors(0) == set()
 
     def test_single_variable_graph_allowed(self):
-        graph = GraphSpec(d=1, edges=frozenset(), backbone=(0,))
+        graph = GraphSpec(d=1, edges=frozenset())
         assert graph.parents(0) == []
 
 
@@ -202,7 +200,7 @@ class TestSimulateScm:
         assert abs(r - 1.0 / np.sqrt(2.0)) < 0.01
 
     def test_single_variable_is_pure_noise(self):
-        graph = GraphSpec(d=1, edges=frozenset(), backbone=(0,))
+        graph = GraphSpec(d=1, edges=frozenset())
         scm = simulate_scm(graph, 100_000, noise_dist="gaussian", seed=4)
         assert scm.values.shape == (100_000, 1)
         assert stats.kstest(scm.values[:, 0], "norm").pvalue > 0.01
@@ -214,7 +212,7 @@ class TestSimulateScm:
         ("student_t", "t", (4.0,)),
     ])
     def test_noise_distributions_match_analytic_cdfs(self, dist, cdf, args):
-        graph = GraphSpec(d=1, edges=frozenset(), backbone=(0,))
+        graph = GraphSpec(d=1, edges=frozenset())
         scm = simulate_scm(graph, 100_000, noise_dist=dist, seed=8, noise_df=4.0)
         assert stats.kstest(scm.values[:, 0], cdf, args=args).pvalue > 0.01
 
@@ -257,7 +255,7 @@ class TestSimulateScm:
 class TestTopologicalSoundness:
     def test_adding_edge_downstream_leaves_upstream_columns_bit_identical(self):
         base = chain_graph(4)
-        widened = GraphSpec(d=4, edges=base.edges | {(1, 3)}, backbone=(0, 1, 2, 3))
+        widened = GraphSpec(d=4, edges=base.edges | {(1, 3)})
         a = simulate_scm(base, 400, seed=21)
         b = simulate_scm(widened, 400, seed=21)
         # Variables 0..2 have identical ancestry in both graphs.
@@ -266,7 +264,7 @@ class TestTopologicalSoundness:
 
     def test_adding_edge_into_middle_preserves_earlier_columns(self):
         base = chain_graph(4)
-        widened = GraphSpec(d=4, edges=base.edges | {(0, 2)}, backbone=(0, 1, 2, 3))
+        widened = GraphSpec(d=4, edges=base.edges | {(0, 2)})
         a = simulate_scm(base, 400, seed=22)
         b = simulate_scm(widened, 400, seed=22)
         assert np.array_equal(a.values[:, :2], b.values[:, :2])
@@ -281,8 +279,7 @@ class TestTopologicalSoundness:
         if not candidates:
             return
         i, j = data.draw(st.sampled_from(candidates))
-        widened = GraphSpec(d=d, edges=graph.edges | {(i, j)},
-                            backbone=tuple(range(d)))
+        widened = GraphSpec(d=d, edges=graph.edges | {(i, j)})
         a = simulate_scm(graph, 100, seed=seed)
         b = simulate_scm(widened, 100, seed=seed)
         assert np.array_equal(a.values[:, :j], b.values[:, :j])

@@ -65,14 +65,14 @@ def _d_separated(graph, i, j, S):
 class TestPathCriterion:
     # the criterion the checks below rely on, on the canonical triples
     def test_chain(self):
-        chain = GraphSpec(d=3, edges=frozenset({(0, 1), (1, 2)}), backbone=())
+        chain = GraphSpec(d=3, edges=frozenset({(0, 1), (1, 2)}))
         assert not _d_separated(chain, 0, 2, ())
         assert _d_separated(chain, 0, 2, (1,))
 
     def test_fork_and_collider(self):
         # 0 -> 1 -> 2 -> 3 plus 0 -> 3: between 1 and 3 the path 1 <- 0 -> 3
         # is a fork at 0; between 0 and 2 the path 0 -> 3 <- 2 is a collider
-        graph = GraphSpec(d=4, edges=frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}), backbone=())
+        graph = GraphSpec(d=4, edges=frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
         assert not _d_separated(graph, 1, 3, (2,))
         assert not _d_separated(graph, 1, 3, (0,))
         assert _d_separated(graph, 1, 3, (0, 2))
