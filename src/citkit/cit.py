@@ -14,10 +14,11 @@ Conventions shared by the kernel tests:
 * the X-side kernel acts on the concatenation (x, z), following the original
   kernel-CI construction — without the augmentation the null is miscalibrated;
 * both regress x's and y's sides on z the same way, by I - U U' with U from
-  the ridge eps = ridge * n on a centred factor of z's kernel: rcit's factors
-  are random Fourier features, kcit's are pivoted-Cholesky factors of its
-  centred Gram matrices, dense Grams where their rank is large (see
-  :func:`kcit`);
+  a ridge eps on a centred factor of z's kernel: kcit's factors are
+  pivoted-Cholesky factors of its centred Gram matrices, dense Grams where
+  their rank is large (see :func:`kcit`), with eps = ridge * n; rcit's are
+  random Fourier features, with eps = ridge * n times the mean variance of a
+  centred z feature, about ridge * n / num_features_z (see :func:`rcit`);
 * both compute one statistic, tr(A B) of their two sides (rcit reports it
   divided by n), and calibrate it by :mod:`citkit.permnull` in one place: by
   default on the analytic null of the trace statistic
@@ -206,9 +207,9 @@ class CITestSpec:
     """Method selector plus per-method settings."""
 
     method: str = "kcit"         # "fisherz", "kcit" or "rcit"
-    num_features_xy: int = 100   # rcit only: random features of (x, z) and of y, each
+    num_features_xy: int = 10    # rcit only: random features of (x, z) and of y, each
     num_features_z: int = 100    # rcit only: random features of z
-    ridge: float = 1e-3          # both kernel tests regress on z with eps = ridge * n
+    ridge: float = 1e-3          # z regression: kcit eps = ridge * n, rcit ridge * |Fz|_F^2 / k_z
     permutations: int = 0        # kernel tests: > 0 samples this many permutations for p
     seed: int = 0                # kernel tests' permutations, and rcit's features
 
@@ -856,17 +857,27 @@ def _rff(block, n_features, rng, by_row=False):
 def rcit(data, spec=None):
     """Random-Fourier-feature CI test: kcit with random features for factors.
 
-    The sides are the features ex of (x, z) and ey of y, regressed on z as
-    in kcit, by I - U U' with eps = ridge * n, with z's features in place of
-    its pivoted-Cholesky factor.  The statistic reported is tr(A B) / n, and the null is kcit's
+    The sides are the ``num_features_xy`` features ex of (x, z) and ey of
+    y, regressed on z as in kcit, by I - U U', with z's ``num_features_z``
+    features Fz in place of its pivoted-Cholesky factor.  The ridge is
+    eps = ridge * |Fz|_F^2 / num_features_z, the ridge times n times the
+    mean variance of a centred z feature, which is about 1 / num_features_z:
+    kcit's eps = ridge * n would shrink the regression on such features much
+    harder, and at n = 2000 with d_z = 2 it let 13 of 100 H0 samples reject
+    at 0.05.  The statistic reported is tr(A B) / n, and the null is kcit's
     on tr(A B); the sampled one permutes the rows of ey and draws from
     ``spec.seed + 1``.  Deterministic given spec.seed (feature frequencies
     and phases are the only randomness).
 
-    Known miscalibration: on PNL H0 samples (seeds 5000-5099, feature seed =
-    sample seed) the test rejects at 0.05 on 13 of 100 at n = 2000 with
-    d_z = 2, against 3 of 100 at n = 2000 with d_z = 1 and 5 of 100 at n = 400
-    with d_z = 2.  Ensembles over such subsets carry the excess up.
+    The feature counts follow RCIT (Strobl, Zhang & Visweswaran 2019) for z,
+    100, and double its 5 for x and y: with 5, the H0 p-values at n = 400
+    sit high (54 % above 0.5, a KS statistic of 0.050 over 1000 samples
+    against the 0.01 critical value of 0.052) and power at n = 1200 drops
+    to 0.825, against 0.875 with 10.  Calibration with the defaults, on PNL
+    H0 samples (seeds 5000-5099, feature seed = sample seed): 3 of 100
+    reject at 0.05 at n = 2000 with d_z = 2, 3 of 100 with d_z = 1, and
+    3 of 100 at n = 400 with d_z = 2; over 1000 samples at n = 2000 with
+    d_z = 2, 6.3 %.
     """
     t0 = time.perf_counter()
     spec = spec or CITestSpec(method="rcit")
@@ -878,9 +889,10 @@ def rcit(data, spec=None):
     sides = [_rff(y, spec.num_features_xy, rng), ex]  # ey first, as the sampled null permutes it
     del ex
     if dz:
-        ut = _ridge_factor(_rff(z, spec.num_features_z, rng, by_row=True), spec.ridge * n)
+        fz = _rff(z, spec.num_features_z, rng, by_row=True)
+        ut = _ridge_factor(fz, spec.ridge * np.vdot(fz, fz) / spec.num_features_z)
         sides = [_regress_factor(side, ut) for side in sides]
-        del ut
+        del fz, ut
     stat, p, flags = _trace_test(sides, (False, False), n, spec.permutations, spec.seed + 1)
     return TestOutcome(p=p, statistic=stat / n, method="rcit", n_used=n,
                        elapsed=time.perf_counter() - t0, flags=flags)

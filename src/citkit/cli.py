@@ -56,6 +56,11 @@ def _add_stable_flags(p):
     p.add_argument("--delta", type=float, default=0.0)
 
 
+_RIDGE_HELP = ("ridge of the kernel tests' regression on z, default 1e-3: kcit regresses with "
+               "eps = ridge * n, rcit with eps = ridge * n * the mean variance of a z "
+               "feature, about ridge * n / 100")
+
+
 def _add_data_flags(p):
     p.add_argument("--data", required=True, help="CSV file with a header row")
     p.add_argument("--x", required=True, help="column name for x")
@@ -159,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(cr)
     cr.add_argument("--method", default="kcit", choices=("fisherz", "kcit", "rcit"))
     cr.add_argument("--permutations", type=int, default=0)
-    cr.add_argument("--ridge", type=float, default=None)
+    cr.add_argument("--ridge", type=float, default=None, help=_RIDGE_HELP)
 
     et = sub.add_parser("ecit", help="divide-and-aggregate ensemble test")
     et_sub = et.add_subparsers(dest="ecit_cmd", required=True)
@@ -167,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(er)
     er.add_argument("--method", default="kcit", choices=("fisherz", "kcit", "rcit"))
     er.add_argument("--permutations", type=int, default=0)
-    er.add_argument("--ridge", type=float, default=None)
+    er.add_argument("--ridge", type=float, default=None, help=_RIDGE_HELP)
     er.add_argument("--nk", type=int, default=None, help="subset size")
     er.add_argument("--K", type=int, default=None, help="subset count")
     er.add_argument("--stable-alpha", type=float, default=1.75)

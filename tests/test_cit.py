@@ -52,11 +52,11 @@ def gaussian_triple(n, seed, d_z=1):
                       rng.standard_normal((n, d_z)))
 
 
-def rejection_rate(test, hypothesis, n, reps, level=0.05, tag=0):
+def rejection_rate(test, hypothesis, n, reps, level=0.05, tag=0, d_z=1):
     hits = 0
     for rep in range(reps):
         seed = _rep_seed(tag, n, hypothesis == "H1", rep)
-        data = gen_pnl(PnlConfig(hypothesis=hypothesis, n=n, seed=seed))
+        data = gen_pnl(PnlConfig(hypothesis=hypothesis, n=n, d_z=d_z, seed=seed))
         hits += test(data, seed).p <= level
     return hits / reps
 
@@ -96,7 +96,7 @@ class TestCITestSpec:
     def test_defaults(self):
         spec = CITestSpec()
         assert spec.method == "kcit"
-        assert spec.num_features_xy == 100
+        assert spec.num_features_xy == 10
         assert spec.ridge == 1e-3
 
     @pytest.mark.parametrize("kwargs", [
@@ -693,6 +693,12 @@ class TestRcit:
                               "H0", 400, 500, tag=30)
         assert 0.02 <= rate <= 0.09
 
+    def test_type_one_error_window_at_the_benchmark_subset_shape(self):
+        # n = 2000 with d_z = 2, the subsets of the ecit_rcit benchmark
+        rate = rejection_rate(lambda d, s: rcit(d, CITestSpec(method="rcit", seed=s)),
+                              "H0", 2000, 200, tag=32, d_z=2)
+        assert 0.02 <= rate <= 0.09
+
     def test_power_window_heavy_tailed_noise(self):
         # t(4) noise at n=1200: powerful but not saturated.
         rate = rejection_rate(lambda d, s: rcit(d, CITestSpec(method="rcit", seed=s)),
@@ -730,8 +736,10 @@ def _reference_rcit(data, spec):
     """rcit as it stood before it shared kcit's z regression: (p, statistic, flags).
 
     Random Fourier features of (x, z), y and z, centred; x's and y's are
-    ridge-regressed on z's by a Cholesky solve of fz'fz / n + ridge I, and
-    the statistic is n |ex'ey / n|^2, calibrated on the unscaled trace.
+    ridge-regressed on z's by a Cholesky solve of fz'fz / n + lam I, with
+    lam = ridge |fz|_F^2 / (n k_z), ridge times the mean variance of a
+    z feature, and the statistic is n |ex'ey / n|^2, calibrated on the
+    unscaled trace.
     """
     n, dz = data.n, data.z.shape[1]
     rng = np.random.default_rng(spec.seed)
@@ -749,7 +757,8 @@ def _reference_rcit(data, spec):
         ex = rff(np.hstack([x, z]), spec.num_features_xy)
         ey = rff(y, spec.num_features_xy)
         fz = rff(z, spec.num_features_z)
-        chol = cho_factor(fz.T @ fz / n + spec.ridge * np.eye(fz.shape[1]), lower=True)
+        lam = spec.ridge * (fz * fz).sum() / (n * spec.num_features_z)
+        chol = cho_factor(fz.T @ fz / n + lam * np.eye(fz.shape[1]), lower=True)
         ex = ex - fz @ cho_solve(chol, fz.T @ ex / n)
         ey = ey - fz @ cho_solve(chol, fz.T @ ey / n)
     else:
@@ -775,13 +784,13 @@ class TestRcitAgainstReference:
                                  seed=_rep_seed(60, n, d_z, hypothesis == "H1")))
         return data if d_z else DataTriple(data.x, data.y, None)
 
-    # n = 100 is as many rows as rcit's default features: both sides are square
+    # at n = 100 with 100 features both sides are square
     @pytest.mark.parametrize("hypothesis", ["H0", "H1"])
     @pytest.mark.parametrize("d_z", [0, 1, 2, 3])
     @pytest.mark.parametrize("n", [100, 150, 400, 2000])
     def test_matches_the_cholesky_solve_reference(self, n, d_z, hypothesis):
         data = self._data(n, d_z, hypothesis)
-        spec = CITestSpec(method="rcit", seed=n + d_z)
+        spec = CITestSpec(method="rcit", seed=n + d_z, num_features_xy=100 if n == 100 else 10)
         out = rcit(data, spec)
         p, stat, flags = _reference_rcit(data, spec)
         assert abs(out.p - p) <= 1e-12
@@ -792,7 +801,8 @@ class TestRcitAgainstReference:
     @pytest.mark.parametrize("n", [100, 150])
     def test_sampled_null_matches_the_reference(self, n, d_z):
         data = self._data(n, d_z, "H0")
-        spec = CITestSpec(method="rcit", seed=7 + d_z, permutations=60)
+        spec = CITestSpec(method="rcit", seed=7 + d_z, permutations=60,
+                          num_features_xy=100 if n == 100 else 10)
         out = rcit(data, spec)
         p, stat, flags = _reference_rcit(data, spec)
         assert out.p == p
@@ -801,9 +811,10 @@ class TestRcitAgainstReference:
 
     @pytest.mark.parametrize("d_z", [0, 2])
     def test_ensemble_of_100_row_subsets_matches_the_reference(self, d_z):
-        # every subset has as many rows as rcit's default features
+        # every subset has as many rows as the 100 features: both sides are square
         data = self._data(400, d_z, "H1")
-        base, config = CITestSpec(method="rcit"), EnsembleConfig(n_k=100, seed=3)
+        base = CITestSpec(method="rcit", num_features_xy=100)
+        config = EnsembleConfig(n_k=100, seed=3)
         out = ecit(data, base, config)
         subsets = partition(data, config)
         assert [s.n for s in subsets] == [100] * 4
@@ -820,7 +831,7 @@ class TestRcitAgainstReference:
             return feature_invariants(*args, **kwargs)
         monkeypatch.setattr(cit, "feature_invariants", counted)
         rcit(self._data(400, 2, "H0"), CITestSpec(method="rcit"))
-        assert calls == [(400, 100), (400, 100)]
+        assert calls == [(400, 10), (400, 10)]
 
 
 class TestUniformityUnderIndependence:
