@@ -68,10 +68,18 @@ _INVARIANT_NAMES = (
     "ltr3", "l2d", "llq", "l2le", "le3", "bow", "th4", "pll", "lds",
 )
 
-# rows per block of the upper-triangle sweep in ``feature_invariants``; at
-# n = 2000 and k = 100, 64 and 128 rows ran the sweep equally fast and faster
-# than 256 or 512, and 64 rows halve the two block buffers
+# rows per block of the upper-triangle sweep of ``_swept_power_sums``, which
+# alone uses it; at n = 2000 and k = 100, 64 and 128 rows ran the sweep
+# equally fast and faster than 256 or 512, and 64 rows halve the two block
+# buffers
 _ROW_BLOCK = 64
+
+# ``feature_invariants`` finds its power sums in feature space while
+# k^3 <= _FEATURE_SPACE_ROWS * n, and sweeps A past that.  On one BLAS thread
+# the two paths ran equally fast near k^3 = 5-9 n: at n = 200, 400, 1000 and
+# 2000 the feature space won up to k = 11, 13, 16 and 22, and the sweep from
+# k = 13, 15, 18 and 24; 4 sends every measured shape the faster way
+_FEATURE_SPACE_ROWS = 4
 
 
 def dense_invariants(M, _scratch=None):
@@ -123,25 +131,26 @@ def feature_invariants(ex, _scratch=None):
     """Invariants of A = ex @ ex.T computed without materializing A.
 
     Everything reduces to feature-space products except the entrywise power
-    sums ``e3``, ``e4``, ``th4`` and ``le3``.  Those sweep the upper triangle
-    of A in blocks of ``_ROW_BLOCK`` rows: block rows lo:hi meet columns lo:n
-    only, and since A is symmetric the diagonal block counts once and the part
-    right of it twice.  Memory stays at two n x k buffers, ``ex @ G`` and
-    one shared by the diagonals of A^2 and A^3, plus two ``_ROW_BLOCK x n``
-    buffers, A's block and its entrywise square; the cube overwrites the
-    block in place.  ``_scratch`` may be a C-contiguous float64 vector; when
-    it holds n (k + 2 ``_ROW_BLOCK``) entries, ``ex @ G`` and the two blocks
+    sums ``e3``, ``e4``, ``th4`` and ``le3``, which take one of two paths by
+    the shape (n, k) of ``ex``.  While k^3 <= ``_FEATURE_SPACE_ROWS`` n they
+    are found in feature space by :func:`_feature_power_sums`, in O(n k^4)
+    and a few BLAS calls; past that :func:`_swept_power_sums` sweeps A's
+    upper triangle in O(n^2 k).  Memory stays at two n x k buffers, ``ex @
+    G`` and one shared by the diagonals of A^2 and A^3, plus what the path
+    takes: the n x k (k + 1) / 2 matrix Q of the feature space, or two
+    ``_ROW_BLOCK x n`` blocks of A.  ``_scratch`` may be a C-contiguous
+    float64 vector; when it holds n (k + k (k + 1) / 2) entries, or
+    n (k + 2 ``_ROW_BLOCK``) on the sweep, ``ex @ G`` and Q or the blocks
     are written there instead of being allocated.  The result is the same
     bit for bit.
     """
     n, k = ex.shape
-    exg_out = p_flat = p2_flat = None
-    if _scratch is not None and _scratch.size >= n * (k + 2 * _ROW_BLOCK):
+    swept = k ** 3 > _FEATURE_SPACE_ROWS * n
+    width = k + (2 * _ROW_BLOCK if swept else k * (k + 1) // 2)
+    exg_out = rest = None
+    if _scratch is not None and _scratch.size >= n * width:
         exg_out = _scratch[:n * k].reshape(n, k)
-        p_flat, p2_flat = _scratch[n * k:n * (k + 2 * _ROW_BLOCK)].reshape(2, -1)
-
-    def block(flat, shape):
-        return None if flat is None else flat[:shape[0] * shape[1]].reshape(shape)
+        rest = _scratch[n * k:n * width]
 
     a = (ex * ex).sum(axis=1)            # diag(A)
     G = ex.T @ ex
@@ -175,6 +184,52 @@ def feature_invariants(ex, _scratch=None):
         "pll": float(exa @ G @ exa),
         "lds": float(exa @ (ex.T @ r)),
     }
+    power_sums = _swept_power_sums if swept else _feature_power_sums
+    out["e3"], out["e4"], out["th4"], out["le3"] = power_sums(ex, a, exG, rest)
+    return out
+
+
+def _feature_power_sums(ex, a, exG, scratch=None):
+    """e3, e4, th4 and le3 of A = ex ex' from the feature space of A's squares.
+
+    Row i of the n x k (k + 1) / 2 matrix Q holds the products x_ia x_ib of
+    row i of ``ex`` for a <= b, those with a < b times sqrt(2), so that
+    <q_i, q_j> = A_ij^2.  Then e3 = |Q' ex|^2, le3 = <Q' (a ex), Q' ex>,
+    th4 = <Q' ex, Q' ex G> and e4 = |Q' Q|_F^2, where ``a`` is diag(A) and
+    ``exG`` is ex G.  Q takes the first entries of ``scratch`` when it is
+    given, and the three products of Q' are one GEMM.
+    """
+    n, k = ex.shape
+    rows, cols = np.triu_indices(k)
+    Q = np.take(ex, rows, axis=1, mode="clip",
+                out=None if scratch is None else scratch[:n * rows.size].reshape(n, -1))
+    Q *= ex[:, cols]
+    Q *= np.where(rows == cols, 1.0, np.sqrt(2.0))
+    C = Q.T @ np.hstack([ex, a[:, None] * ex, exG])
+    QQ = Q.T @ Q
+    c, c_a, c_g = C[:, :k], C[:, k:2 * k], C[:, 2 * k:]
+    return (float(np.vdot(c, c)), float(np.vdot(QQ, QQ)), float(np.vdot(c, c_g)),
+            float(np.vdot(c_a, c)))
+
+
+def _swept_power_sums(ex, a, exG, scratch=None):
+    """e3, e4, th4 and le3 of A = ex ex' from a sweep of A's upper triangle.
+
+    Block rows lo:hi meet columns lo:n only, and since A is symmetric the
+    diagonal block counts once and the part right of it twice.  Each block
+    of ``_ROW_BLOCK`` rows is A's block and its entrywise square, and the
+    cube overwrites the block in place; the two take the first
+    2 ``_ROW_BLOCK`` n entries of ``scratch`` when it is given.  ``a`` is
+    diag(A) and ``exG`` is ex G.
+    """
+    n = ex.shape[0]
+    p_flat = p2_flat = None
+    if scratch is not None:
+        p_flat, p2_flat = scratch[:2 * _ROW_BLOCK * n].reshape(2, -1)
+
+    def block(flat, shape):
+        return None if flat is None else flat[:shape[0] * shape[1]].reshape(shape)
+
     e3 = e4 = th4 = le3 = 0.0
     for lo in range(0, n, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, n)
@@ -196,11 +251,7 @@ def feature_invariants(ex, _scratch=None):
         e3 += float(rows.sum() + right.sum())
         le3 += float(a[lo:hi] @ rows + right_a.sum())
         del P, P2, D                     # free this block before the next is made
-    out["e3"] = e3
-    out["e4"] = e4
-    out["th4"] = th4
-    out["le3"] = le3
-    return out
+    return e3, e4, th4, le3
 
 
 # packed invariant vector: the names of A, then 1.0, then the names of B

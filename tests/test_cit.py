@@ -705,6 +705,19 @@ class TestRcit:
                               "H1", 1200, 200, tag=31)
         assert 0.75 <= rate <= 0.92
 
+    # the analytic-null p at n = 2000 with d_z = 2, the subsets of the ecit_rcit
+    # benchmark, as the upper-triangle sweep of feature_invariants gave it
+    @pytest.mark.parametrize("hypothesis, want", [
+        ("H0", "0x1.484ae9091ac47p-2"),
+        ("H1", "0x1.6b5725ee612f4p-10"),
+    ])
+    def test_p_at_the_benchmark_subset_shape_is_pinned(self, hypothesis, want):
+        data = gen_pnl(PnlConfig(hypothesis=hypothesis, n=2000, d_z=2, seed=0))
+        out = rcit(data, CITestSpec(method="rcit", seed=0))
+        assert out.flags == ()
+        ref = float.fromhex(want)
+        assert abs(out.p - ref) <= 1e-12 * ref
+
     def test_deterministic_given_seed(self):
         data = gen_pnl(PnlConfig(hypothesis="H1", n=400, seed=13))
         a = rcit(data, CITestSpec(method="rcit", seed=99))

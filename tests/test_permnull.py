@@ -15,6 +15,7 @@ import pytest
 from scipy import stats
 
 from citkit import _moment_derivation as md
+from citkit import permnull
 from citkit._moment_tables import T1, T2, T3, T4
 from citkit.cit import CITestSpec, kcit, rcit
 from citkit.datagen import PnlConfig, gen_pnl
@@ -114,22 +115,56 @@ class TestDenseInvariants:
             assert {name: value.hex() for name, value in got.items()} == want
 
 
+def _power_sum_scales(ex):
+    """e3, e4, th4 and le3 of |A| for A = ex ex', the scale of each power sum."""
+    A = ex @ ex.T
+    A2 = ex @ (ex.T @ ex) @ ex.T
+    absA, sq = np.abs(A), A * A
+    a = np.abs(np.diag(A))
+    return (float((sq * absA).sum()), float((sq * sq).sum()), float((sq * np.abs(A2)).sum()),
+            float(a @ (sq * absA).sum(axis=1)))
+
+
+def _rcit_features(n, k, seed):
+    """Centred random Fourier features of one Gaussian column, as rcit draws them."""
+    rng = np.random.default_rng(seed)
+    f = np.cos(rng.standard_normal((n, 1)) @ rng.normal(0.0, 0.25, size=(1, k))
+               + rng.uniform(0.0, 2.0 * np.pi, size=k)) * np.sqrt(2.0 / k)
+    return f - f.mean(axis=0)
+
+
 class TestFeatureInvariants:
-    @pytest.mark.parametrize("n, k", [(8, 5), (65, 3), (300, 20)])
-    def test_scratch_buffer_changes_nothing(self, n, k):
+    # the power-sum path that k^3 against n sends each shape down
+    PATHS = {(8, 5): "_swept_power_sums", (65, 3): "_feature_power_sums",
+             (300, 20): "_swept_power_sums", (2001, 10): "_feature_power_sums"}
+
+    @pytest.mark.parametrize("n, k", list(PATHS))
+    def test_scratch_buffer_changes_nothing(self, n, k, monkeypatch):
+        path = self.PATHS[n, k]
+        calls = []
+        for name in ("_feature_power_sums", "_swept_power_sums"):
+            def recorded(*args, name=name, helper=getattr(permnull, name)):
+                calls.append(name)
+                return helper(*args)
+            monkeypatch.setattr(permnull, name, recorded)
         ex = np.random.default_rng((n, k)).standard_normal((n, k))
         want = {name: value.hex() for name, value in feature_invariants(ex).items()}
+        width = k + (k * (k + 1) // 2 if path == "_feature_power_sums" else 2 * permnull._ROW_BLOCK)
         # NaN-filled buffers of the exact size and larger, then the ones the
         # first pass left; a buffer too small is not used
-        for size in (n * (k + 128), n * n + 3 * n * (k + 128), n * (k + 128) - 1):
+        for size in (n * width, n * n + 3 * n * width, n * width - 1):
             scratch = np.full(size, np.nan)
             for _ in range(2):
                 got = feature_invariants(ex, _scratch=scratch)
                 assert {name: value.hex() for name, value in got.items()} == want
+                # Q or the sweep's blocks land after ex G
+                assert np.isnan(scratch[n * k:n * width]).all() == (size < n * width)
+        assert calls == [path] * 7
 
-    # n below, on and across one and two row blocks of the triangle sweep
-    @pytest.mark.parametrize("k", [5, 100])
-    @pytest.mark.parametrize("n", [8, 63, 64, 65, 127, 128, 129, 300, 2001])
+    # n below, on and across one and two row blocks of the triangle sweep, and
+    # k on both sides of the crossover between the two power-sum paths
+    @pytest.mark.parametrize("k", [5, 10, 20, 100])
+    @pytest.mark.parametrize("n", [8, 63, 64, 65, 127, 128, 129, 300, 400, 2001])
     def test_matches_dense_invariants_of_gram(self, n, k):
         rng = np.random.default_rng((n, k))
         ex = rng.standard_normal((n, k))
@@ -141,6 +176,22 @@ class TestFeatureInvariants:
         assert set(got) == set(dense)
         for name, ref in dense.items():
             assert abs(got[name] - ref) <= 1e-12 * scale[name], name
+
+    @pytest.mark.parametrize("n, k, features", [
+        (400, 10, "normal"), (400, 20, "normal"), (2001, 10, "normal"), (2001, 20, "normal"),
+        (2001, 10, "rcit"),
+    ])
+    def test_power_sum_paths_agree(self, n, k, features):
+        if features == "rcit":
+            ex = _rcit_features(n, k, seed=7)
+        else:
+            ex = np.random.default_rng((n, k)).standard_normal((n, k))
+            ex -= ex.mean(axis=0)
+        inputs = ex, (ex * ex).sum(axis=1), ex @ (ex.T @ ex)  # ex, diag(A) and ex G
+        feature = permnull._feature_power_sums(*inputs)
+        swept = permnull._swept_power_sums(*inputs)
+        for got, ref, scale in zip(feature, swept, _power_sum_scales(ex)):
+            assert abs(got - ref) <= 1e-12 * scale
 
 
 class TestGammaUpperP:
